@@ -13,12 +13,12 @@ constexpr double kAlphaFloor = 1e-10;
 // acosh'(z) = 1/sqrt(z^2-1) blows up at z=1; floor the radicand.
 constexpr double kAcoshRadicandFloor = 1e-15;
 
+}  // namespace
+
 double SafeAlpha(ConstSpan x) {
   const double a = 1.0 - vec::SqNorm(x);
   return a < kAlphaFloor ? kAlphaFloor : a;
 }
-
-}  // namespace
 
 void ProjectToBall(Span x) {
   const double max_norm = 1.0 - kBallEps;

@@ -28,6 +28,10 @@ inline constexpr double kBallEps = 1e-5;
 /// norm exceeds 1 - kBallEps (plus rounding slack) as off-manifold drift.
 void ProjectToBall(Span x);
 
+/// The conformal term 1 - ||x||^2 of the Poincaré formulas below, floored
+/// at 1e-10 so distances and gradients stay finite at the boundary.
+double SafeAlpha(ConstSpan x);
+
 /// Poincaré distance d_P(x, y) = acosh(1 + 2||x-y||^2 / ((1-||x||^2)(1-||y||^2))).
 double Distance(ConstSpan x, ConstSpan y);
 

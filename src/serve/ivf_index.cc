@@ -52,41 +52,16 @@ Matrix BallPoints(const ScoringSnapshot& snapshot) {
   return ball;
 }
 
-/// 1 - |x|^2 with a positive floor (points are ProjectToBall-clamped, so
-/// the floor only guards accumulated rounding).
-double ConformalAlpha(vec::ConstSpan x) {
-  const double a = 1.0 - vec::SqNorm(x);
-  return a > 1e-12 ? a : 1e-12;
-}
-
 /// Assigns every ball point to its nearest centroid. The Poincaré distance
 /// acosh(1 + 2 delta) is monotone in delta = |x-c|^2 / (alpha_x alpha_c),
-/// so the scan compares delta directly — no transcendentals on the
-/// million-item bulk pass.
+/// so the scan compares delta directly (NearestRule::kConformalDelta) — no
+/// transcendentals on the million-item bulk pass.
 std::vector<uint32_t> AssignAll(const Matrix& ball, const Matrix& centroids) {
   const size_t n = ball.rows();
-  const size_t c_count = centroids.rows();
-  std::vector<double> inv_alpha_c(c_count);
-  for (size_t c = 0; c < c_count; ++c) {
-    inv_alpha_c[c] = 1.0 / ConformalAlpha(centroids.row(c));
-  }
+  const CentroidBlocks blocks(centroids, NearestRule::kConformalDelta);
   std::vector<uint32_t> assign(n, 0);
   ParallelFor(0, n, /*grain=*/256, [&](size_t i0, size_t i1) {
-    for (size_t i = i0; i < i1; ++i) {
-      const auto x = ball.row(i);
-      const double inv_alpha_x = 1.0 / ConformalAlpha(x);
-      double best = std::numeric_limits<double>::infinity();
-      uint32_t best_c = 0;
-      for (size_t c = 0; c < c_count; ++c) {
-        const double delta =
-            vec::SqDist(x, centroids.row(c)) * inv_alpha_x * inv_alpha_c[c];
-        if (delta < best) {
-          best = delta;
-          best_c = static_cast<uint32_t>(c);
-        }
-      }
-      assign[i] = best_c;
-    }
+    for (size_t i = i0; i < i1; ++i) assign[i] = blocks.Nearest(ball.row(i));
   });
   return assign;
 }
@@ -197,7 +172,11 @@ IvfIndex IvfIndex::Build(const ScoringSnapshot& snapshot, PrecisionTier tier,
 
   // Coarse quantizer: Poincaré k-means on (a stride-sample of) the mapped
   // catalogue, then a bulk nearest-centroid pass over every item.
-  const Matrix ball = BallPoints(snapshot);
+  Matrix ball;
+  {
+    TraceSpan ball_span("ivf_ball_points");
+    ball = BallPoints(snapshot);
+  }
   std::vector<uint32_t> train;
   const size_t step = n > opts.max_train_points
                           ? (n + opts.max_train_points - 1) / opts.max_train_points
@@ -215,54 +194,62 @@ IvfIndex IvfIndex::Build(const ScoringSnapshot& snapshot, PrecisionTier tier,
   const KMeansResult kmeans = PoincareKMeans(ball, train,
                                              static_cast<int>(c_count), &rng,
                                              kopts);
-  const std::vector<uint32_t> assign = AssignAll(ball, kmeans.centroids);
-
-  // Cell layout: CSR offsets + slot permutation, ascending item id within
-  // each cell (the scan order preserves it).
-  index.cell_begin_.assign(c_count + 1, 0);
-  for (uint32_t a : assign) ++index.cell_begin_[a + 1];
-  for (size_t c = 0; c < c_count; ++c) {
-    index.cell_begin_[c + 1] += index.cell_begin_[c];
-  }
-  index.perm_.resize(n);
   {
+    // Bulk nearest-centroid pass over every item, then the cell layout:
+    // CSR offsets + slot permutation, ascending item id within each cell
+    // (the scan order preserves it).
+    TraceSpan assign_span("ivf_assign_all");
+    const std::vector<uint32_t> assign = AssignAll(ball, kmeans.centroids);
+    index.cell_begin_.assign(c_count + 1, 0);
+    for (uint32_t a : assign) ++index.cell_begin_[a + 1];
+    for (size_t c = 0; c < c_count; ++c) {
+      index.cell_begin_[c + 1] += index.cell_begin_[c];
+    }
+    index.perm_.resize(n);
     std::vector<uint32_t> cursor(index.cell_begin_.begin(),
                                  index.cell_begin_.end() - 1);
     for (size_t i = 0; i < n; ++i) {
       index.perm_[cursor[assign[i]]++] = static_cast<uint32_t>(i);
     }
-  }
-  index.slot_of_.resize(n);
-  for (size_t s = 0; s < n; ++s) {
-    index.slot_of_[index.perm_[s]] = static_cast<uint32_t>(s);
-  }
-
-  // Native-geometry representatives and radii per channel, from the
-  // double-precision rows (the float32 rows differ by narrowing rounding,
-  // covered by the query-time slack).
-  const bool lorentz = LorentzKernel(snapshot.kernel);
-  const bool two_channel = snapshot.kernel == ScoreKernel::kTwoChannelLorentz ||
-                           snapshot.kernel == ScoreKernel::kTwoChannelEuclid;
-  index.reps_ = Matrix(c_count, snapshot.items.cols());
-  index.radius_.assign(c_count, 0.0);
-  if (two_channel) {
-    index.reps_tg_ = Matrix(c_count, snapshot.items_tg.cols());
-    index.radius_tg_.assign(c_count, 0.0);
-  }
-  ParallelFor(0, c_count, /*grain=*/1, [&](size_t c0, size_t c1) {
-    for (size_t c = c0; c < c1; ++c) {
-      const auto members = index.cell_items(c);
-      CellRepresentative(snapshot.items, members, lorentz, index.reps_.row(c),
-                         &index.radius_[c]);
-      if (two_channel) {
-        CellRepresentative(snapshot.items_tg, members, lorentz,
-                           index.reps_tg_.row(c), &index.radius_tg_[c]);
-      }
+    index.slot_of_.resize(n);
+    for (size_t s = 0; s < n; ++s) {
+      index.slot_of_[index.perm_[s]] = static_cast<uint32_t>(s);
     }
-  });
+  }
 
-  index.compact_ = CompactSnapshot::Build(
-      snapshot, /*with_int8=*/tier == PrecisionTier::kInt8, index.perm_);
+  {
+    // Native-geometry representatives and radii per channel, from the
+    // double-precision rows (the float32 rows differ by narrowing rounding,
+    // covered by the query-time slack).
+    TraceSpan reps_span("ivf_cell_reps");
+    const bool lorentz = LorentzKernel(snapshot.kernel);
+    const bool two_channel =
+        snapshot.kernel == ScoreKernel::kTwoChannelLorentz ||
+        snapshot.kernel == ScoreKernel::kTwoChannelEuclid;
+    index.reps_ = Matrix(c_count, snapshot.items.cols());
+    index.radius_.assign(c_count, 0.0);
+    if (two_channel) {
+      index.reps_tg_ = Matrix(c_count, snapshot.items_tg.cols());
+      index.radius_tg_.assign(c_count, 0.0);
+    }
+    ParallelFor(0, c_count, /*grain=*/1, [&](size_t c0, size_t c1) {
+      for (size_t c = c0; c < c1; ++c) {
+        const auto members = index.cell_items(c);
+        CellRepresentative(snapshot.items, members, lorentz,
+                           index.reps_.row(c), &index.radius_[c]);
+        if (two_channel) {
+          CellRepresentative(snapshot.items_tg, members, lorentz,
+                             index.reps_tg_.row(c), &index.radius_tg_[c]);
+        }
+      }
+    });
+  }
+
+  {
+    TraceSpan compact_span("ivf_compact");
+    index.compact_ = CompactSnapshot::Build(
+        snapshot, /*with_int8=*/tier == PrecisionTier::kInt8, index.perm_);
+  }
 
   static Counter* builds =
       MetricsRegistry::Instance().GetCounter("taxorec.serve.ivf.builds");

@@ -212,11 +212,12 @@ BatchServer::BatchServer(FrozenModel model, const DataSplit& split,
       }
     }
   }
-  if (options_.retrieval == RetrievalMode::kIvf) {
+  if (options_.retrieval == RetrievalMode::kIvf && model_.ivf() == nullptr) {
     // Built once at construction so the first request never pays the
-    // quantizer. An unsupported configuration (kVirtual kernel, double
-    // tier) downgrades to exact with BuildIvf's warning — the oracle path
-    // is always available.
+    // quantizer; an index the model already holds is served as is. An
+    // unsupported configuration (kVirtual kernel, double tier) downgrades
+    // to exact with BuildIvf's warning — the oracle path is always
+    // available.
     if (!model_.BuildIvf(options_.ivf)) {
       options_.retrieval = RetrievalMode::kExact;
     }

@@ -110,7 +110,8 @@ struct ServeOptions {
   /// exact.
   RetrievalMode retrieval = RetrievalMode::kExact;
   /// IVF build/probe parameters (cells, nprobe, quantizer seed); consulted
-  /// only when retrieval == kIvf.
+  /// only when retrieval == kIvf, and only nprobe when the model arrives
+  /// with its index already built.
   IvfOptions ivf;
 };
 
@@ -123,6 +124,9 @@ class BatchServer {
               ServeOptions options = {});
 
   /// Serves a pre-frozen snapshot (e.g. one loaded without a live model).
+  /// With retrieval == kIvf, an IVF index the model already holds
+  /// (FrozenModel::BuildIvf) is served as is and options.ivf's build
+  /// parameters go unused; otherwise the constructor builds one.
   BatchServer(FrozenModel model, const DataSplit& split,
               ServeOptions options = {});
 

@@ -3,6 +3,11 @@
 // the Einstein midpoint computed in the Klein model (the standard fast
 // approximation of the Fréchet mean), with a tangent-space-mean alternative
 // kept for the design-ablation bench.
+//
+// The nearest-centroid scans (the assignment step here and the IVF
+// quantizer's bulk pass) run on one blocked kernel, CentroidBlocks, whose
+// results equal the scalar poincare::Distance / vec::SqDist scans bit for
+// bit (DESIGN.md §15).
 #ifndef TAXOREC_TAXONOMY_POINCARE_KMEANS_H_
 #define TAXOREC_TAXONOMY_POINCARE_KMEANS_H_
 
@@ -11,6 +16,7 @@
 
 #include "math/matrix.h"
 #include "math/rng.h"
+#include "math/vec_ops.h"
 
 namespace taxorec {
 
@@ -30,6 +36,43 @@ struct KMeansResult {
   /// K × d centroids (Poincaré points).
   Matrix centroids;
   int iterations = 0;
+};
+
+/// What CentroidBlocks::Nearest minimises. Both rules return the first
+/// index among equal minima and never select a centroid whose key is NaN,
+/// exactly as a scalar `key < best` scan from best = +Inf does.
+enum class NearestRule {
+  /// poincare::Distance(x, c): the k-means assignment step.
+  kPoincareDistance,
+  /// |x - c|^2 * (1/a_x) * (1/a_c) with a = max(1 - |.|^2, 1e-12): the IVF
+  /// bulk pass's transcendental-free surrogate, monotone in the distance.
+  kConformalDelta,
+};
+
+/// Centroids packed for the blocked nearest-centroid kernel: blocks of
+/// kLanes centroids, each block d × kLanes doubles with the lane index
+/// fastest, the last block zero-padded. The kernel sums the kLanes squared
+/// distances of a block in vector registers, each lane in vec::SqDist's
+/// coordinate order and without fused multiply-adds, so every distance
+/// equals the scalar one bit for bit. Immutable after construction; Nearest
+/// is safe to call from many threads.
+class CentroidBlocks {
+ public:
+  static constexpr size_t kLanes = 8;
+
+  CentroidBlocks(const Matrix& centroids, NearestRule rule);
+
+  size_t size() const { return count_; }
+
+  /// Index of the centroid nearest to x under the rule.
+  uint32_t Nearest(vec::ConstSpan x) const;
+
+ private:
+  NearestRule rule_;
+  size_t count_;
+  size_t dim_;
+  std::vector<double> lanes_;   // blocks × dim_ × kLanes
+  std::vector<double> factor_;  // per lane: a_c (Poincaré) or 1/a_c (delta)
 };
 
 /// K-means++ seed selection under the Poincaré metric: K distinct indices

@@ -16,6 +16,7 @@
 
 #include "common/metrics.h"
 #include "common/parallel.h"
+#include "common/profiler.h"
 #include "data/split.h"
 #include "data/synthetic.h"
 #include "math/rng.h"
@@ -162,6 +163,47 @@ TEST(IvfIndexTest, FullProbeMatchesExactScan) {
                        "with exclusions");
       }
     }
+  }
+}
+
+const ProfileNode* Child(const ProfileNode& node, const char* name) {
+  for (const ProfileNode& c : node.children) {
+    if (c.name == name) return &c;
+  }
+  return nullptr;
+}
+
+// The build's child spans account for nearly all of ivf_build, so a
+// profile of a slow build names the stage that moved instead of leaving
+// the time as ivf_build self time; likewise poincare_kmeans splits into
+// its seeding, assignment and update steps.
+TEST(IvfIndexTest, BuildSpansAttributeTheBuild) {
+  const ScoringSnapshot snap = MakeSnapshot(ScoreKernel::kTwoChannelLorentz,
+                                            10, 4000, 24, 12, 89);
+  ClearProfile();
+  StartProfiling();
+  const IvfIndex index = IvfIndex::Build(snap, PrecisionTier::kFloat32, {});
+  StopProfiling();
+  const ProfileNode root = MergedProfile();
+  ClearProfile();
+  ASSERT_GE(index.num_cells(), 1u);
+
+  const ProfileNode* build = Child(root, "ivf_build");
+  ASSERT_NE(build, nullptr);
+  uint64_t children_us = 0;
+  for (const char* name : {"ivf_ball_points", "poincare_kmeans",
+                           "ivf_assign_all", "ivf_cell_reps", "ivf_compact"}) {
+    const ProfileNode* child = Child(*build, name);
+    ASSERT_NE(child, nullptr) << name;
+    EXPECT_EQ(child->calls, 1u) << name;
+    children_us += child->inclusive_us;
+  }
+  EXPECT_GE(static_cast<double>(children_us),
+            0.9 * static_cast<double>(build->inclusive_us));
+
+  const ProfileNode* kmeans = Child(*build, "poincare_kmeans");
+  for (const char* name : {"kmeans_seed", "kmeans_assign", "kmeans_update"}) {
+    EXPECT_NE(Child(*kmeans, name), nullptr) << name;
   }
 }
 
@@ -336,6 +378,28 @@ TEST(BatchServerIvfTest, DoubleTierFallsBackToExact) {
                      split, opts);
   EXPECT_EQ(server.options().retrieval, RetrievalMode::kExact);
   EXPECT_EQ(server.model().ivf(), nullptr);
+  const auto lists = server.ServeBatch(AllUserRequests(4, 5));
+  ASSERT_EQ(lists.size(), 4u);
+  for (const auto& list : lists) EXPECT_EQ(list.size(), 5u);
+}
+
+// A model handed over with its index already built is served as is: the
+// constructor must not run a second build (k-means included).
+TEST(BatchServerIvfTest, PrebuiltIndexIsNotRebuilt) {
+  const DataSplit split = MakeServeSplit();
+  const ScoringSnapshot snap =
+      MakeSnapshot(ScoreKernel::kTwoChannelLorentz, split.num_users,
+                   split.num_items, 16, 8, 83);
+  ServeOptions opts;
+  opts.retrieval = RetrievalMode::kIvf;
+  const uint64_t builds_before = CounterValue("taxorec.serve.ivf.builds");
+  FrozenModel model(ScoringSnapshot(snap), PrecisionTier::kFloat32);
+  ASSERT_TRUE(model.BuildIvf(opts.ivf));
+  const IvfIndex* built = model.ivf();
+  BatchServer server(std::move(model), split, opts);
+  EXPECT_EQ(CounterValue("taxorec.serve.ivf.builds") - builds_before, 1u);
+  EXPECT_EQ(server.options().retrieval, RetrievalMode::kIvf);
+  EXPECT_EQ(server.model().ivf(), built);
   const auto lists = server.ServeBatch(AllUserRequests(4, 5));
   ASSERT_EQ(lists.size(), 4u);
   for (const auto& list : lists) EXPECT_EQ(list.size(), 5u);

@@ -5,10 +5,17 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <limits>
+#include <numeric>
 #include <set>
+#include <string>
 
+#include "common/parallel.h"
 #include "data/split.h"
 #include "data/synthetic.h"
+#include "hyperbolic/klein.h"
+#include "hyperbolic/maps.h"
 #include "hyperbolic/poincare.h"
 #include "math/vec_ops.h"
 #include "taxonomy/builder.h"
@@ -145,6 +152,323 @@ TEST(PoincareKmeansTest, ReseedCascadeLeavesNoEmptyCluster) {
     for (int k = 0; k < 4; ++k) {
       EXPECT_GT(counts[k], 0) << "seed " << seed << " cluster " << k;
     }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Equivalence of the blocked k-means kernel with the scalar algorithm.
+//
+// The reference below is the straightforward k-means the library ran before
+// the blocked kernel: every distance a full poincare::Distance call, seeding
+// with a fresh D² weight vector per seed, and each centroid recomputed by a
+// scan of the whole assignment. The library must equal it bit for bit.
+
+class ThreadCountGuard {
+ public:
+  ThreadCountGuard() : saved_(GetNumThreads()) {}
+  ~ThreadCountGuard() { SetNumThreads(saved_); }
+
+ private:
+  int saved_;
+};
+
+std::vector<size_t> NaiveSeeds(const Matrix& points,
+                               const std::vector<uint32_t>& subset, int K,
+                               Rng* rng) {
+  const size_t n = subset.size();
+  std::vector<size_t> seeds;
+  std::vector<char> chosen(n, 0);
+  std::vector<double> min_dist(n, std::numeric_limits<double>::infinity());
+  const size_t first = rng->Uniform(n);
+  chosen[first] = 1;
+  seeds.push_back(first);
+  for (int k = 1; k < K; ++k) {
+    std::vector<double> weights(n);
+    for (size_t i = 0; i < n; ++i) {
+      const double dd = poincare::Distance(points.row(subset[i]),
+                                           points.row(subset[seeds[k - 1]]));
+      if (dd < min_dist[i]) min_dist[i] = dd;
+      weights[i] = chosen[i] ? 0.0 : min_dist[i] * min_dist[i];
+    }
+    double total = 0.0;
+    for (double w : weights) total += w;
+    size_t pick = total > 0.0 ? rng->Categorical(weights) : n;
+    if (pick >= n || chosen[pick]) {
+      pick = 0;
+      while (chosen[pick]) ++pick;
+    }
+    chosen[pick] = 1;
+    seeds.push_back(pick);
+  }
+  return seeds;
+}
+
+void NaiveCentroid(const Matrix& points, const std::vector<uint32_t>& subset,
+                   const std::vector<int>& assignment, int k,
+                   CentroidMethod method, vec::Span centroid) {
+  const size_t d = points.cols();
+  std::vector<double> acc(d, 0.0);
+  std::vector<double> klein(d);
+  double denom = 0.0;
+  for (size_t i = 0; i < subset.size(); ++i) {
+    if (assignment[i] != k) continue;
+    const auto p = points.row(subset[i]);
+    if (method == CentroidMethod::kKleinMidpoint) {
+      hyper::PoincareToKlein(p, vec::Span(klein));
+      const double g = klein::LorentzFactor(vec::ConstSpan(klein));
+      vec::Axpy(g, vec::ConstSpan(klein), vec::Span(acc));
+      denom += g;
+    } else {
+      const double n = vec::Norm(p);
+      if (n > 1e-15) {
+        const double clipped = n > 1.0 - 1e-10 ? 1.0 - 1e-10 : n;
+        vec::Axpy(2.0 * std::atanh(clipped) / n, p, vec::Span(acc));
+      }
+      denom += 1.0;
+    }
+  }
+  if (denom <= 0.0) {
+    vec::Zero(centroid);
+    return;
+  }
+  vec::Scale(vec::Span(acc), 1.0 / denom);
+  if (method == CentroidMethod::kKleinMidpoint) {
+    hyper::KleinToPoincare(vec::ConstSpan(acc), centroid);
+  } else {
+    const double vn = vec::Norm(vec::ConstSpan(acc));
+    if (vn < 1e-15) {
+      vec::Zero(centroid);
+      return;
+    }
+    vec::ScaleTo(vec::ConstSpan(acc), std::tanh(vn / 2.0) / vn, centroid);
+  }
+  poincare::ProjectToBall(centroid);
+}
+
+KMeansResult NaiveKMeans(const Matrix& points,
+                         const std::vector<uint32_t>& subset, int K, Rng* rng,
+                         const KMeansOptions& opts) {
+  const size_t n = subset.size();
+  KMeansResult result;
+  result.centroids = Matrix(K, points.cols());
+  result.assignment.assign(n, 0);
+  const std::vector<size_t> seeds = NaiveSeeds(points, subset, K, rng);
+  for (int k = 0; k < K; ++k) {
+    vec::Copy(points.row(subset[seeds[k]]), result.centroids.row(k));
+  }
+  std::vector<int> prev(n, -1);
+  for (int iter = 0; iter < opts.max_iters; ++iter) {
+    result.iterations = iter + 1;
+    for (size_t i = 0; i < n; ++i) {
+      double best = std::numeric_limits<double>::infinity();
+      int best_k = 0;
+      for (int k = 0; k < K; ++k) {
+        const double dd = poincare::Distance(points.row(subset[i]),
+                                             result.centroids.row(k));
+        if (dd < best) {
+          best = dd;
+          best_k = k;
+        }
+      }
+      result.assignment[i] = best_k;
+    }
+    if (result.assignment == prev) break;
+    prev = result.assignment;
+    for (int k = 0; k < K; ++k) {
+      NaiveCentroid(points, subset, result.assignment, k, opts.centroid,
+                    result.centroids.row(k));
+    }
+    ReseedEmptyClusters(points, subset, K, &result.assignment,
+                        &result.centroids);
+  }
+  return result;
+}
+
+// Uniform points in the ball of radius 0.9.
+Matrix RandomBallPoints(size_t n, size_t d, uint64_t seed) {
+  Rng rng(seed);
+  Matrix pts(n, d);
+  for (size_t i = 0; i < n; ++i) poincare::RandomPoint(&rng, 0.9, pts.row(i));
+  return pts;
+}
+
+// Points at norm 1 - 1e-5, the ProjectToBall radius, where the conformal
+// factors are ~2e-5 and the acosh arguments are largest.
+Matrix BoundaryPoints(size_t n, size_t d, uint64_t seed) {
+  Rng rng(seed);
+  Matrix pts(n, d);
+  for (size_t i = 0; i < n; ++i) {
+    auto row = pts.row(i);
+    for (double& v : row) v = rng.NextGaussian();
+    vec::Scale(row, (1.0 - 1e-5) / vec::Norm(vec::ConstSpan(row)));
+  }
+  return pts;
+}
+
+// Six distinct points, each repeated: every distance to a centroid ties
+// exactly with the repeats', and K > 6 forces coinciding centroids.
+Matrix DuplicatePoints(size_t n, size_t d, uint64_t seed) {
+  const Matrix base = RandomBallPoints(6, d, seed);
+  Matrix pts(n, d);
+  for (size_t i = 0; i < n; ++i) vec::Copy(base.row(i % 6), pts.row(i));
+  return pts;
+}
+
+struct PointSet {
+  std::string name;
+  Matrix points;
+};
+
+std::vector<PointSet> EquivalencePointSets(size_t n, size_t d, uint64_t seed) {
+  std::vector<PointSet> sets;
+  sets.push_back({"random", RandomBallPoints(n, d, seed)});
+  sets.push_back({"boundary", BoundaryPoints(n, d, seed + 1)});
+  sets.push_back({"duplicates", DuplicatePoints(n, d, seed + 2)});
+  return sets;
+}
+
+void ExpectSameKMeans(const KMeansResult& want, const KMeansResult& got,
+                      const std::string& what) {
+  EXPECT_EQ(want.assignment, got.assignment) << what;
+  EXPECT_EQ(want.iterations, got.iterations) << what;
+  const auto w = want.centroids.flat();
+  const auto g = got.centroids.flat();
+  ASSERT_EQ(w.size(), g.size()) << what;
+  EXPECT_EQ(std::memcmp(w.data(), g.data(), w.size() * sizeof(double)), 0)
+      << what;
+}
+
+TEST(PoincareKmeansEquivalenceTest, MatchesScalarReferenceBitForBit) {
+  ThreadCountGuard guard;
+  // K below, at and above one kLanes = 8 block, plus K = n; two point
+  // counts so the four-point seeding interleave runs with and without a
+  // remainder, and an odd dimension.
+  for (const size_t n : {size_t{40}, size_t{203}}) {
+    for (PointSet& set : EquivalencePointSets(n, 7, 100 + n)) {
+      std::vector<uint32_t> subset(n);
+      std::iota(subset.begin(), subset.end(), 0u);
+      for (const int K : {1, 3, 8, 9, static_cast<int>(n)}) {
+        for (const auto method :
+             {CentroidMethod::kKleinMidpoint, CentroidMethod::kTangentMean}) {
+          KMeansOptions opts;
+          opts.centroid = method;
+          Rng ref_rng(K * 31 + n);
+          const KMeansResult want =
+              NaiveKMeans(set.points, subset, K, &ref_rng, opts);
+          for (const int threads : {1, 4}) {
+            SetNumThreads(threads);
+            Rng rng(K * 31 + n);
+            const std::string what =
+                set.name + " n=" + std::to_string(n) + " K=" +
+                std::to_string(K) + " method=" +
+                std::to_string(static_cast<int>(method)) +
+                " threads=" + std::to_string(threads);
+            ExpectSameKMeans(want, PoincareKMeans(set.points, subset, K, &rng,
+                                                  opts),
+                             what);
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(PoincareKmeansEquivalenceTest, SeedsMatchScalarReference) {
+  ThreadCountGuard guard;
+  for (PointSet& set : EquivalencePointSets(157, 5, 7)) {
+    // A strided subset, so subset positions and point rows differ.
+    std::vector<uint32_t> subset;
+    for (uint32_t i = 0; i < 157; i += 2) subset.push_back(i);
+    for (const int K : {1, 3, 8, 9, static_cast<int>(subset.size())}) {
+      Rng ref_rng(K);
+      const std::vector<size_t> want =
+          NaiveSeeds(set.points, subset, K, &ref_rng);
+      for (const int threads : {1, 4}) {
+        SetNumThreads(threads);
+        Rng rng(K);
+        EXPECT_EQ(want, KMeansPlusPlusSeeds(set.points, subset, K, &rng))
+            << set.name << " K=" << K << " threads=" << threads;
+      }
+    }
+  }
+}
+
+// Index of the smallest key, first on ties, NaN never selected: the scalar
+// scan CentroidBlocks::Nearest must reproduce.
+template <typename KeyFn>
+uint32_t NaiveNearest(size_t count, KeyFn key) {
+  double best = std::numeric_limits<double>::infinity();
+  uint32_t best_k = 0;
+  for (size_t k = 0; k < count; ++k) {
+    const double v = key(k);
+    if (v < best) {
+      best = v;
+      best_k = static_cast<uint32_t>(k);
+    }
+  }
+  return best_k;
+}
+
+double NaiveInvAlpha(vec::ConstSpan x) {
+  const double a = 1.0 - vec::SqNorm(x);
+  return 1.0 / (a > 1e-12 ? a : 1e-12);
+}
+
+TEST(CentroidBlocksTest, NearestMatchesScalarScans) {
+  // Centroid counts below, at and above one and two blocks; the centroids
+  // come from the same sets as the points, so duplicates make exact ties
+  // and boundary points stress the conformal factors. Every point is also
+  // queried shrunk 100-fold toward the origin, where the zero padding of a
+  // partial block would win if its lanes were ever compared.
+  for (PointSet& set : EquivalencePointSets(120, 13, 21)) {
+    for (size_t i = 0; i < 120; i += 2) vec::Scale(set.points.row(i), 0.01);
+    for (const size_t count : {size_t{1}, size_t{7}, size_t{8}, size_t{9},
+                               size_t{16}, size_t{17}}) {
+      Matrix centroids(count, 13);
+      for (size_t k = 0; k < count; ++k) {
+        vec::Copy(set.points.row((k * 7 + 1) % 120), centroids.row(k));
+      }
+      const CentroidBlocks poincare_blocks(centroids,
+                                           NearestRule::kPoincareDistance);
+      const CentroidBlocks delta_blocks(centroids,
+                                        NearestRule::kConformalDelta);
+      ASSERT_EQ(poincare_blocks.size(), count);
+      for (size_t i = 0; i < 120; ++i) {
+        const auto x = set.points.row(i);
+        EXPECT_EQ(poincare_blocks.Nearest(x),
+                  NaiveNearest(count,
+                               [&](size_t k) {
+                                 return poincare::Distance(x,
+                                                           centroids.row(k));
+                               }))
+            << set.name << " count=" << count << " point " << i;
+        // The IVF bulk pass (IvfIndex::Build's AssignAll): |x-c|^2 scaled
+        // by both inverse conformal factors, in that order.
+        const double inv_x = NaiveInvAlpha(x);
+        EXPECT_EQ(delta_blocks.Nearest(x),
+                  NaiveNearest(count,
+                               [&](size_t k) {
+                                 return vec::SqDist(x, centroids.row(k)) *
+                                        inv_x *
+                                        NaiveInvAlpha(centroids.row(k));
+                               }))
+            << set.name << " count=" << count << " point " << i;
+      }
+    }
+  }
+}
+
+TEST(CentroidBlocksTest, NaNKeysAreNeverSelected) {
+  // A NaN coordinate makes that centroid's key NaN under both rules; the
+  // scalar `key < best` scan skips it, and so must the blocked scan.
+  Matrix centroids(10, 3);
+  centroids.at(0, 0) = std::numeric_limits<double>::quiet_NaN();
+  centroids.at(1, 0) = 0.5;
+  centroids.at(9, 1) = 0.1;
+  const std::vector<double> x = {0.0, 0.1, 0.0};
+  for (const auto rule :
+       {NearestRule::kPoincareDistance, NearestRule::kConformalDelta}) {
+    EXPECT_EQ(CentroidBlocks(centroids, rule).Nearest(vec::ConstSpan(x)), 9u);
   }
 }
 
