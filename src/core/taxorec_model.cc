@@ -33,6 +33,16 @@ namespace {
 // Euclidean fallback max row norm (CML-style ball constraint).
 constexpr double kEuclidMaxNorm = 1.5;
 
+// Makes *m a rows × cols zero matrix, reusing its storage.
+void ResetZero(Matrix* m, size_t rows, size_t cols) {
+  m->Resize(rows, cols);
+  m->SetZero();
+}
+
+void ResetZero(Matrix* m, const Matrix& like) {
+  ResetZero(m, like.rows(), like.cols());
+}
+
 }  // namespace
 
 TaxoRecModel::TaxoRecModel(const ModelConfig& config, TaxoRecOptions options)
@@ -188,46 +198,60 @@ void TaxoRecModel::Propagate() {
     }
   }
   // Global aggregation on both channels.
-  auto run_channel = [&](const Matrix& users_leaf, const Matrix& items_leaf,
-                         nn::GcnContext* ctx, Matrix* sum_u, Matrix* sum_v,
-                         Matrix* out_u, Matrix* out_v) {
-    if (!options_.use_gcn) {
-      *out_u = users_leaf;
-      *out_v = items_leaf;
-      return;
-    }
-    if (options_.hyperbolic) {
-      Matrix zu, zv;
-      nn::LogMapOriginForward(users_leaf, &zu);
-      nn::LogMapOriginForward(items_leaf, &zv);
-      gcn_->Forward(zu, zv, ctx, sum_u, sum_v);
-      nn::ExpMapOriginForward(*sum_u, out_u);
-      nn::ExpMapOriginForward(*sum_v, out_v);
-    } else {
-      gcn_->Forward(users_leaf, items_leaf, ctx, sum_u, sum_v);
-      *out_u = *sum_u;
-      *out_v = *sum_v;
-    }
-  };
-  run_channel(users_ir_, items_ir_, &ir_ctx_, &sum_u_ir_, &sum_v_ir_,
-              &out_u_ir_, &out_v_ir_);
-  if (options_.use_tags) {
-    run_channel(users_tg_, items_tg_leaf_, &tg_ctx_gcn_, &sum_u_tg_,
-                &sum_v_tg_, &out_u_tg_, &out_v_tg_);
+  PropagateChannel(users_ir_, items_ir_, &ir_);
+  if (options_.use_tags) PropagateChannel(users_tg_, items_tg_leaf_, &tg_);
+}
+
+void TaxoRecModel::PropagateChannel(const Matrix& users_leaf,
+                                    const Matrix& items_leaf, Channel* ch) {
+  if (!options_.use_gcn) {
+    ch->out_u = users_leaf;
+    ch->out_v = items_leaf;
+    return;
   }
+  if (options_.hyperbolic) {
+    nn::LogMapOriginForward(users_leaf, &ch->log_u);
+    nn::LogMapOriginForward(items_leaf, &ch->log_v);
+    gcn_->Forward(ch->log_u, ch->log_v, &ch->gcn, &ch->sum_u, &ch->sum_v);
+    nn::ExpMapOriginForward(ch->sum_u, &ch->out_u);
+    nn::ExpMapOriginForward(ch->sum_v, &ch->out_v);
+  } else {
+    gcn_->Forward(users_leaf, items_leaf, &ch->gcn, &ch->sum_u, &ch->sum_v);
+    ch->out_u = ch->sum_u;
+    ch->out_v = ch->sum_v;
+  }
+}
+
+std::pair<const Matrix*, const Matrix*> TaxoRecModel::ChannelBackward(
+    const Matrix& users_leaf, const Matrix& items_leaf, Channel* ch) {
+  if (!options_.use_gcn) return {&ch->up_u, &ch->up_v};
+  if (options_.hyperbolic) {
+    ResetZero(&ch->gsum_u, ch->up_u);
+    ResetZero(&ch->gsum_v, ch->up_v);
+    nn::ExpMapOriginBackward(ch->sum_u, ch->up_u, &ch->gsum_u);
+    nn::ExpMapOriginBackward(ch->sum_v, ch->up_v, &ch->gsum_v);
+    gcn_->Backward(ch->gsum_u, ch->gsum_v, &ch->gcn, &ch->gz_u, &ch->gz_v);
+    ResetZero(&ch->leaf_u, ch->up_u);
+    ResetZero(&ch->leaf_v, ch->up_v);
+    nn::LogMapOriginBackward(users_leaf, ch->gz_u, &ch->leaf_u);
+    nn::LogMapOriginBackward(items_leaf, ch->gz_v, &ch->leaf_v);
+  } else {
+    gcn_->Backward(ch->up_u, ch->up_v, &ch->gcn, &ch->leaf_u, &ch->leaf_v);
+  }
+  return {&ch->leaf_u, &ch->leaf_v};
 }
 
 double TaxoRecModel::Similarity(uint32_t user, uint32_t item) const {
   const bool hyp = options_.hyperbolic;
-  double g = hyp ? lorentz::SqDistance(out_u_ir_.row(user),
-                                       out_v_ir_.row(item))
-                 : vec::SqDist(out_u_ir_.row(user), out_v_ir_.row(item));
+  double g = hyp ? lorentz::SqDistance(ir_.out_u.row(user),
+                                       ir_.out_v.row(item))
+                 : vec::SqDist(ir_.out_u.row(user), ir_.out_v.row(item));
   if (options_.use_tags) {
     const double a = alpha_[user];
     if (a > 0.0) {
-      g += a * (hyp ? lorentz::SqDistance(out_u_tg_.row(user),
-                                          out_v_tg_.row(item))
-                    : vec::SqDist(out_u_tg_.row(user), out_v_tg_.row(item)));
+      g += a * (hyp ? lorentz::SqDistance(tg_.out_u.row(user),
+                                          tg_.out_v.row(item))
+                    : vec::SqDist(tg_.out_u.row(user), tg_.out_v.row(item)));
     }
   }
   return g;
@@ -255,16 +279,13 @@ double TaxoRecModel::TrainStep(const TripletSampler& sampler, int epoch,
   // rows of a scratch buffer, so this phase reads the (frozen) propagated
   // embeddings and writes disjoint memory: the batch is a pure function of
   // the seed, not of the thread count.
-  struct SampleRec {
-    uint32_t user = 0, pos = 0, neg = 0;
-    double a = 0.0;
-    double loss = 0.0;
-    bool active = false;
-  };
-  std::vector<SampleRec> recs(batch);
-  Matrix gbuf_ir(batch * 3, di_cols_);  // rows 3j..3j+2: user/pos/neg grads
-  Matrix gbuf_tg;
-  if (options_.use_tags) gbuf_tg = Matrix(batch * 3, dt_cols_);
+  recs_.assign(batch, SampleRec{});
+  gbuf_ir_.Resize(batch * 3, di_cols_);
+  if (options_.use_tags) gbuf_tg_.Resize(batch * 3, dt_cols_);
+  const Matrix& ou_ir = ir_.out_u;
+  const Matrix& ov_ir = ir_.out_v;
+  const Matrix& ou_tg = tg_.out_u;
+  const Matrix& ov_tg = tg_.out_v;
 
   ParallelFor(0, batch, /*grain=*/32, [&](size_t j0, size_t j1) {
     for (size_t j = j0; j < j1; ++j) {
@@ -294,18 +315,20 @@ double TaxoRecModel::TrainStep(const TripletSampler& sampler, int epoch,
       const double hinge =
           nn::HingeTriplet(config_.margin, g_pos, g_neg, &dpos, &dneg);
       if (hinge <= 0.0) continue;
-      recs[j] = {t.user, t.pos, t.neg, a, hinge, /*active=*/true};
-      sq_dist_grad(out_u_ir_.row(t.user), out_v_ir_.row(t.pos), dpos * scale,
-                   gbuf_ir.row(3 * j), gbuf_ir.row(3 * j + 1));
-      sq_dist_grad(out_u_ir_.row(t.user), out_v_ir_.row(t.neg), dneg * scale,
-                   gbuf_ir.row(3 * j), gbuf_ir.row(3 * j + 2));
+      recs_[j] = {t.user, t.pos, t.neg, a, hinge, /*active=*/true};
+      for (size_t r = 3 * j; r < 3 * j + 3; ++r) vec::Zero(gbuf_ir_.row(r));
+      sq_dist_grad(ou_ir.row(t.user), ov_ir.row(t.pos), dpos * scale,
+                   gbuf_ir_.row(3 * j), gbuf_ir_.row(3 * j + 1));
+      sq_dist_grad(ou_ir.row(t.user), ov_ir.row(t.neg), dneg * scale,
+                   gbuf_ir_.row(3 * j), gbuf_ir_.row(3 * j + 2));
       if (options_.use_tags && a > 0.0) {
-        sq_dist_grad(out_u_tg_.row(t.user), out_v_tg_.row(t.pos),
-                     a * dpos * scale, gbuf_tg.row(3 * j),
-                     gbuf_tg.row(3 * j + 1));
-        sq_dist_grad(out_u_tg_.row(t.user), out_v_tg_.row(t.neg),
-                     a * dneg * scale, gbuf_tg.row(3 * j),
-                     gbuf_tg.row(3 * j + 2));
+        for (size_t r = 3 * j; r < 3 * j + 3; ++r) {
+          vec::Zero(gbuf_tg_.row(r));
+        }
+        sq_dist_grad(ou_tg.row(t.user), ov_tg.row(t.pos), a * dpos * scale,
+                     gbuf_tg_.row(3 * j), gbuf_tg_.row(3 * j + 1));
+        sq_dist_grad(ou_tg.row(t.user), ov_tg.row(t.neg), a * dneg * scale,
+                     gbuf_tg_.row(3 * j), gbuf_tg_.row(3 * j + 2));
       }
     }
   });
@@ -314,25 +337,24 @@ double TaxoRecModel::TrainStep(const TripletSampler& sampler, int epoch,
   // dense update matrices in ascending sample order on this thread, so the
   // summation order (and every optimizer step below) is independent of the
   // thread count.
-  Matrix up_u_ir(num_users_, di_cols_);
-  Matrix up_v_ir(num_items_, di_cols_);
-  Matrix up_u_tg, up_v_tg;
+  ResetZero(&ir_.up_u, num_users_, di_cols_);
+  ResetZero(&ir_.up_v, num_items_, di_cols_);
   if (options_.use_tags) {
-    up_u_tg = Matrix(num_users_, dt_cols_);
-    up_v_tg = Matrix(num_items_, dt_cols_);
+    ResetZero(&tg_.up_u, num_users_, dt_cols_);
+    ResetZero(&tg_.up_v, num_items_, dt_cols_);
   }
   double batch_loss = 0.0;
   for (size_t j = 0; j < batch; ++j) {
-    const SampleRec& rec = recs[j];
+    const SampleRec& rec = recs_[j];
     if (!rec.active) continue;
     batch_loss += rec.loss;
-    vec::Axpy(1.0, gbuf_ir.row(3 * j), up_u_ir.row(rec.user));
-    vec::Axpy(1.0, gbuf_ir.row(3 * j + 1), up_v_ir.row(rec.pos));
-    vec::Axpy(1.0, gbuf_ir.row(3 * j + 2), up_v_ir.row(rec.neg));
+    vec::Axpy(1.0, gbuf_ir_.row(3 * j), ir_.up_u.row(rec.user));
+    vec::Axpy(1.0, gbuf_ir_.row(3 * j + 1), ir_.up_v.row(rec.pos));
+    vec::Axpy(1.0, gbuf_ir_.row(3 * j + 2), ir_.up_v.row(rec.neg));
     if (options_.use_tags && rec.a > 0.0) {
-      vec::Axpy(1.0, gbuf_tg.row(3 * j), up_u_tg.row(rec.user));
-      vec::Axpy(1.0, gbuf_tg.row(3 * j + 1), up_v_tg.row(rec.pos));
-      vec::Axpy(1.0, gbuf_tg.row(3 * j + 2), up_v_tg.row(rec.neg));
+      vec::Axpy(1.0, gbuf_tg_.row(3 * j), tg_.up_u.row(rec.user));
+      vec::Axpy(1.0, gbuf_tg_.row(3 * j + 1), tg_.up_v.row(rec.pos));
+      vec::Axpy(1.0, gbuf_tg_.row(3 * j + 2), tg_.up_v.row(rec.neg));
     }
   }
 
@@ -340,49 +362,20 @@ double TaxoRecModel::TrainStep(const TripletSampler& sampler, int epoch,
   // rollback/retry machinery of the training loop can be exercised by real
   // tests. A single relaxed atomic load when disarmed.
   if (TAXOREC_FAULT(faults::kGradNan, epoch)) {
-    up_u_ir.at(0, 0) = std::numeric_limits<double>::quiet_NaN();
+    ir_.up_u.at(0, 0) = std::numeric_limits<double>::quiet_NaN();
   }
 
-  // Backward through the global aggregation of one channel; produces leaf
-  // gradients for the channel's user and item leaves.
-  auto channel_backward = [&](const Matrix& users_leaf,
-                              const Matrix& items_leaf, const Matrix& sum_u,
-                              const Matrix& sum_v, const Matrix& up_u,
-                              const Matrix& up_v, Matrix* leaf_gu,
-                              Matrix* leaf_gv) {
-    if (!options_.use_gcn) {
-      *leaf_gu = up_u;
-      *leaf_gv = up_v;
-      return;
-    }
-    if (hyp) {
-      Matrix gsum_u(up_u.rows(), up_u.cols());
-      Matrix gsum_v(up_v.rows(), up_v.cols());
-      nn::ExpMapOriginBackward(sum_u, up_u, &gsum_u);
-      nn::ExpMapOriginBackward(sum_v, up_v, &gsum_v);
-      Matrix gz_u, gz_v;
-      gcn_->Backward(gsum_u, gsum_v, &gz_u, &gz_v);
-      *leaf_gu = Matrix(up_u.rows(), up_u.cols());
-      *leaf_gv = Matrix(up_v.rows(), up_v.cols());
-      nn::LogMapOriginBackward(users_leaf, gz_u, leaf_gu);
-      nn::LogMapOriginBackward(items_leaf, gz_v, leaf_gv);
-    } else {
-      gcn_->Backward(up_u, up_v, leaf_gu, leaf_gv);
-    }
-  };
-
   // --- ir channel ---
-  Matrix leaf_gu_ir, leaf_gv_ir;
-  channel_backward(users_ir_, items_ir_, sum_u_ir_, sum_v_ir_, up_u_ir,
-                   up_v_ir, &leaf_gu_ir, &leaf_gv_ir);
+  const auto [leaf_gu_ir, leaf_gv_ir] =
+      ChannelBackward(users_ir_, items_ir_, &ir_);
   if (hyp) {
-    optim::LorentzRsgdUpdate(&users_ir_, leaf_gu_ir, config_.lr,
+    optim::LorentzRsgdUpdate(&users_ir_, *leaf_gu_ir, config_.lr,
                              config_.grad_clip);
-    optim::LorentzRsgdUpdate(&items_ir_, leaf_gv_ir, config_.lr,
+    optim::LorentzRsgdUpdate(&items_ir_, *leaf_gv_ir, config_.lr,
                              config_.grad_clip);
   } else {
-    optim::SgdUpdate(&users_ir_, leaf_gu_ir, config_.lr);
-    optim::SgdUpdate(&items_ir_, leaf_gv_ir, config_.lr);
+    optim::SgdUpdate(&users_ir_, *leaf_gu_ir, config_.lr);
+    optim::SgdUpdate(&items_ir_, *leaf_gv_ir, config_.lr);
     optim::ProjectRowsToBall(&users_ir_, kEuclidMaxNorm);
     optim::ProjectRowsToBall(&items_ir_, kEuclidMaxNorm);
   }
@@ -390,17 +383,16 @@ double TaxoRecModel::TrainStep(const TripletSampler& sampler, int epoch,
   // --- tag channel ---
   if (options_.use_tags) {
     const double tag_lr = config_.lr * std::max(1.0, config_.tag_lr_mult);
-    Matrix leaf_gu_tg, leaf_gv_tg;
-    channel_backward(users_tg_, items_tg_leaf_, sum_u_tg_, sum_v_tg_, up_u_tg,
-                     up_v_tg, &leaf_gu_tg, &leaf_gv_tg);
-    Matrix grad_tags(num_tags_, tags_.cols());
+    const auto [leaf_gu_tg, leaf_gv_tg] =
+        ChannelBackward(users_tg_, items_tg_leaf_, &tg_);
+    ResetZero(&grad_tags_, num_tags_, tags_.cols());
     if (hyp) {
-      optim::LorentzRsgdUpdate(&users_tg_, leaf_gu_tg, tag_lr,
+      optim::LorentzRsgdUpdate(&users_tg_, *leaf_gu_tg, tag_lr,
                                config_.grad_clip);
       // Local aggregation backward: item tag-leaf grads → Poincaré tags.
-      tag_agg_->Backward(tags_, tag_ctx_, leaf_gv_tg, &grad_tags);
+      tag_agg_->Backward(tags_, tag_ctx_, *leaf_gv_tg, &grad_tags_);
     } else {
-      optim::SgdUpdate(&users_tg_, leaf_gu_tg, tag_lr);
+      optim::SgdUpdate(&users_tg_, *leaf_gu_tg, tag_lr);
       optim::ProjectRowsToBall(&users_tg_, kEuclidMaxNorm);
       // Euclidean mean backward.
       for (size_t v = 0; v < num_items_; ++v) {
@@ -408,7 +400,7 @@ double TaxoRecModel::TrainStep(const TripletSampler& sampler, int epoch,
         if (tags.empty()) continue;
         const double w = 1.0 / static_cast<double>(tags.size());
         for (uint32_t tg : tags) {
-          vec::Axpy(w, leaf_gv_tg.row(v), grad_tags.row(tg));
+          vec::Axpy(w, leaf_gv_tg->row(v), grad_tags_.row(tg));
         }
       }
     }
@@ -418,13 +410,13 @@ double TaxoRecModel::TrainStep(const TripletSampler& sampler, int epoch,
     if (hyp && options_.lambda > 0.0 && taxonomy_ != nullptr) {
       TaxonomyRegLossAndGrad(*taxonomy_, tags_,
                              options_.lambda / static_cast<double>(num_tags_),
-                             &grad_tags, options_.reg);
+                             &grad_tags_, options_.reg);
     }
     if (hyp) {
-      optim::PoincareRsgdUpdate(&tags_, grad_tags, tag_lr,
+      optim::PoincareRsgdUpdate(&tags_, grad_tags_, tag_lr,
                                 config_.grad_clip);
     } else {
-      optim::SgdUpdate(&tags_, grad_tags, tag_lr);
+      optim::SgdUpdate(&tags_, grad_tags_, tag_lr);
       optim::ProjectRowsToBall(&tags_, kEuclidMaxNorm);
     }
   }
@@ -520,6 +512,20 @@ void TaxoRecModel::EndFit(const DataSplit& split) {
     RebuildTaxonomy(config_.epochs);
   }
   Propagate();
+  ReleaseWorkspaces();
+}
+
+void TaxoRecModel::ReleaseWorkspaces() {
+  for (Channel* ch : {&ir_, &tg_}) {
+    Channel kept;
+    kept.out_u = std::move(ch->out_u);
+    kept.out_v = std::move(ch->out_v);
+    *ch = std::move(kept);
+  }
+  recs_ = {};
+  gbuf_ir_ = Matrix();
+  gbuf_tg_ = Matrix();
+  grad_tags_ = Matrix();
 }
 
 void TaxoRecModel::Fit(const DataSplit& split, Rng* rng) {
@@ -555,15 +561,15 @@ void TaxoRecModel::CheckHealth(HealthMonitor* monitor) const {
 
 void TaxoRecModel::ScoreItems(uint32_t user, std::span<double> out) const {
   const bool hyp = options_.hyperbolic;
-  const auto u_ir = out_u_ir_.row(user);
+  const auto u_ir = ir_.out_u.row(user);
   const double a = options_.use_tags ? alpha_[user] : 0.0;
   for (size_t v = 0; v < num_items_; ++v) {
-    double g = hyp ? lorentz::SqDistance(u_ir, out_v_ir_.row(v))
-                   : vec::SqDist(u_ir, out_v_ir_.row(v));
+    double g = hyp ? lorentz::SqDistance(u_ir, ir_.out_v.row(v))
+                   : vec::SqDist(u_ir, ir_.out_v.row(v));
     if (options_.use_tags && a > 0.0) {
-      g += a * (hyp ? lorentz::SqDistance(out_u_tg_.row(user),
-                                          out_v_tg_.row(v))
-                    : vec::SqDist(out_u_tg_.row(user), out_v_tg_.row(v)));
+      g += a * (hyp ? lorentz::SqDistance(tg_.out_u.row(user),
+                                          tg_.out_v.row(v))
+                    : vec::SqDist(tg_.out_u.row(user), tg_.out_v.row(v)));
     }
     out[v] = -g;
   }
@@ -573,13 +579,13 @@ ScoringSnapshot TaxoRecModel::ExportScoringSnapshot() const {
   ScoringSnapshot snap;
   snap.num_users = num_users_;
   snap.num_items = num_items_;
-  snap.users = out_u_ir_;
-  snap.items = out_v_ir_;
+  snap.users = ir_.out_u;
+  snap.items = ir_.out_v;
   if (options_.use_tags) {
     snap.kernel = options_.hyperbolic ? ScoreKernel::kTwoChannelLorentz
                                       : ScoreKernel::kTwoChannelEuclid;
-    snap.users_tg = out_u_tg_;
-    snap.items_tg = out_v_tg_;
+    snap.users_tg = tg_.out_u;
+    snap.items_tg = tg_.out_v;
     snap.alpha = alpha_;
   } else {
     snap.kernel = options_.hyperbolic ? ScoreKernel::kNegLorentzSqDist
@@ -623,13 +629,14 @@ Status TaxoRecModel::RestoreCheckpoint(const Checkpoint& ckpt,
     if (options_.hyperbolic) RebuildTaxonomy(/*epoch=*/-1);
   }
   Propagate();
+  ReleaseWorkspaces();
   return Status::OK();
 }
 
 std::vector<double> TaxoRecModel::UserTagDistances(uint32_t user) const {
   TAXOREC_CHECK(options_.use_tags);
   std::vector<double> dist(num_tags_, 0.0);
-  const auto u = out_u_tg_.row(user);
+  const auto u = tg_.out_u.row(user);
   if (options_.hyperbolic) {
     std::vector<double> lorentz_tag(tags_.cols() + 1);
     for (size_t t = 0; t < num_tags_; ++t) {

@@ -23,6 +23,7 @@
 
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "baselines/recommender.h"
@@ -108,6 +109,29 @@ class TaxoRecModel : public Recommender {
   Status RestoreCheckpoint(const Checkpoint& ckpt, const DataSplit& split);
 
  private:
+  /// One channel's global aggregation (log_o → GCN → exp_o). `sum_*` and
+  /// `out_*` are what Propagate leaves for scoring and the next TrainStep;
+  /// every other field is a workspace sized on first use and reused by
+  /// every minibatch, so steady-state training does not allocate per batch
+  /// (DESIGN.md §5).
+  struct Channel {
+    nn::GcnContext gcn;     // GCN layer ping-pong, also the backward scratch
+    Matrix log_u, log_v;    // log_o of the leaves: the GCN input
+    Matrix sum_u, sum_v;    // GCN outputs
+    Matrix out_u, out_v;    // exp_o of the sums: the final embeddings
+    Matrix up_u, up_v;      // batch loss gradient on out_*
+    Matrix gsum_u, gsum_v;  // ... through exp_o
+    Matrix gz_u, gz_v;      // ... through the GCN
+    Matrix leaf_u, leaf_v;  // ... through log_o: what the optimizer applies
+  };
+  /// One TrainStep sample: its triplet, α_u and hinge loss.
+  struct SampleRec {
+    uint32_t user = 0, pos = 0, neg = 0;
+    double a = 0.0;
+    double loss = 0.0;
+    bool active = false;
+  };
+
   void ComputeAlpha(const DataSplit& split);
   /// Sets up dataset views, α, layers and (optionally) random leaves.
   void InitFromSplit(const DataSplit& split, Rng* rng, bool init_params);
@@ -128,6 +152,17 @@ class TaxoRecModel : public Recommender {
   void WarmUpTags(Rng* rng);
   /// Runs the full forward pass from the current leaves.
   void Propagate();
+  /// Global aggregation of one channel's leaves into ch->out_*.
+  void PropagateChannel(const Matrix& users_leaf, const Matrix& items_leaf,
+                        Channel* ch);
+  /// Backward of PropagateChannel from ch->up_*; returns the leaf gradients
+  /// (ch->leaf_*, or ch->up_* themselves without a GCN).
+  std::pair<const Matrix*, const Matrix*> ChannelBackward(
+      const Matrix& users_leaf, const Matrix& items_leaf, Channel* ch);
+  /// Frees every workspace but the final embeddings once training ends
+  /// (EndFit, checkpoint restore): scoring needs only out_*, and the next
+  /// FitEpoch re-creates the rest on its first batch.
+  void ReleaseWorkspaces();
   /// One minibatch step; returns the summed hinge loss of the batch.
   /// Sampling, hard-negative mining and per-sample gradient evaluation fan
   /// out over the batch with counter-based RNG streams
@@ -169,9 +204,13 @@ class TaxoRecModel : public Recommender {
   // Forward caches.
   nn::TagAggContext tag_ctx_;
   Matrix items_tg_leaf_;  // v^tg' before global aggregation
-  nn::GcnContext ir_ctx_, tg_ctx_gcn_;
-  Matrix sum_u_ir_, sum_v_ir_, sum_u_tg_, sum_v_tg_;  // GCN outputs
-  Matrix out_u_ir_, out_v_ir_, out_u_tg_, out_v_tg_;  // final embeddings
+  Channel ir_, tg_;       // tag-irrelevant and tag-relevant channels
+
+  // TrainStep workspaces: per-sample records and gradient rows (rows
+  // 3j..3j+2 hold sample j's user/pos/neg gradients), and the tag gradient.
+  std::vector<SampleRec> recs_;
+  Matrix gbuf_ir_, gbuf_tg_;
+  Matrix grad_tags_;
 };
 
 }  // namespace taxorec

@@ -107,20 +107,23 @@ void ExpMap(ConstSpan x, ConstSpan eta, Span out) {
 }
 
 void RsgdStep(Span x, ConstSpan euclidean_grad, double lr) {
-  std::vector<double> eta(euclidean_grad.begin(), euclidean_grad.end());
-  EuclideanToRiemannianGrad(x, Span(eta));
-  vec::Scale(Span(eta), -lr);
+  vec::ScratchRow eta(euclidean_grad.size());
+  vec::Copy(euclidean_grad, eta.span());
+  RsgdStepInPlace(x, eta.span(), lr);
+}
+
+void RsgdStepInPlace(Span x, Span eta, double lr) {
+  EuclideanToRiemannianGrad(x, eta);
+  vec::Scale(eta, -lr);
   // Cap the tangent step length: the tangent projection can amplify an
   // already-clipped Euclidean gradient when x is far from the origin, and
   // cosh of a large step overflows within a few iterations.
   constexpr double kMaxStepLength = 1.0;
   double step_sq = Inner(ConstSpan(eta), ConstSpan(eta));
   if (step_sq > kMaxStepLength * kMaxStepLength) {
-    vec::Scale(Span(eta), kMaxStepLength / std::sqrt(step_sq));
+    vec::Scale(eta, kMaxStepLength / std::sqrt(step_sq));
   }
-  std::vector<double> out(x.size());
-  ExpMap(x, ConstSpan(eta), Span(out));
-  vec::Copy(ConstSpan(out), x);
+  ExpMap(x, ConstSpan(eta), x);
   ProjectToHyperboloid(x);
 }
 

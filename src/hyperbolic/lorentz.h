@@ -64,11 +64,17 @@ void EuclideanToRiemannianGrad(ConstSpan x, Span grad);
 
 /// Exponential map at x for a tangent vector eta (Eq. 23):
 /// exp_x(eta) = cosh(||eta||_L) x + sinh(||eta||_L) eta/||eta||_L.
+/// out may alias x.
 void ExpMap(ConstSpan x, ConstSpan eta, Span out);
 
 /// Riemannian SGD step: x <- exp_x(-lr * grad_R), from a Euclidean gradient;
 /// re-projects onto the hyperboloid.
 void RsgdStep(Span x, ConstSpan euclidean_grad, double lr);
+
+/// RsgdStep with caller-owned scratch: `grad` holds the Euclidean gradient
+/// on entry and the applied tangent step on return. Same bits as RsgdStep,
+/// no allocation.
+void RsgdStepInPlace(Span x, Span grad, double lr);
 
 /// Log map at the origin (Eq. 12): maps a hyperboloid point x to the tangent
 /// space at o. Output has the same d+1 layout with out[0] == 0.

@@ -71,9 +71,9 @@ void ExpMap(ConstSpan x, ConstSpan eta, Span out) {
     ProjectToBall(out);
     return;
   }
-  std::vector<double> y(eta.size());
-  vec::ScaleTo(eta, std::tanh(n / 2.0) / n, Span(y));
-  MobiusAdd(x, ConstSpan(y), out);
+  vec::ScratchRow y(eta.size());
+  vec::ScaleTo(eta, std::tanh(n / 2.0) / n, y.span());
+  MobiusAdd(x, ConstSpan(y.span()), out);
   ProjectToBall(out);
 }
 
@@ -110,12 +110,15 @@ void EuclideanToRiemannianGrad(ConstSpan x, Span grad) {
 }
 
 void RsgdStep(Span x, ConstSpan euclidean_grad, double lr) {
-  std::vector<double> eta(euclidean_grad.begin(), euclidean_grad.end());
-  EuclideanToRiemannianGrad(x, Span(eta));
-  vec::Scale(Span(eta), -lr);
-  std::vector<double> out(x.size());
-  ExpMap(x, ConstSpan(eta), Span(out));
-  vec::Copy(ConstSpan(out), x);
+  vec::ScratchRow eta(euclidean_grad.size());
+  vec::Copy(euclidean_grad, eta.span());
+  RsgdStepInPlace(x, eta.span(), lr);
+}
+
+void RsgdStepInPlace(Span x, Span eta, double lr) {
+  EuclideanToRiemannianGrad(x, eta);
+  vec::Scale(eta, -lr);
+  ExpMap(x, ConstSpan(eta), x);
 }
 
 void RandomPoint(Rng* rng, double radius, Span x) {

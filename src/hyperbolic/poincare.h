@@ -43,7 +43,7 @@ void DistanceGradX(ConstSpan x, ConstSpan y, double scale, Span grad_x);
 void MobiusAdd(ConstSpan x, ConstSpan y, Span out);
 
 /// Möbius exponential map exp_x(eta) = x ⊕ (tanh(||eta||/2) eta/||eta||)
-/// (Eq. 21). Result is projected back into the ball.
+/// (Eq. 21). Result is projected back into the ball. out may alias x.
 void ExpMap(ConstSpan x, ConstSpan eta, Span out);
 
 /// Logarithmic map at x: the tangent vector v with exp_x(v) = y,
@@ -61,6 +61,11 @@ void EuclideanToRiemannianGrad(ConstSpan x, Span grad);
 /// Riemannian SGD step: x <- exp_x(-lr * grad_R(x)), where grad is the
 /// *Euclidean* gradient (converted internally). Projects to the ball.
 void RsgdStep(Span x, ConstSpan euclidean_grad, double lr);
+
+/// RsgdStep with caller-owned scratch: `grad` holds the Euclidean gradient
+/// on entry and the applied tangent step on return. Same bits as RsgdStep,
+/// no allocation.
+void RsgdStepInPlace(Span x, Span grad, double lr);
 
 /// Fills x with a uniform point in the ball of radius `radius`
 /// (component-wise Gaussian direction, norm ~ U^(1/d) * radius).

@@ -1,14 +1,209 @@
 #include "math/csr.h"
 
 #include <algorithm>
+#include <atomic>
 #include <tuple>
 
 #include "common/metrics.h"
 #include "common/parallel.h"
 #include "common/trace.h"
-#include "math/vec_ops.h"
+
+#if defined(TAXOREC_ENABLE_AVX2) && defined(__x86_64__) && \
+    (defined(__GNUC__) || defined(__clang__))
+#define TAXOREC_HAVE_AVX2_BUILD 1
+#include <immintrin.h>
+#else
+#define TAXOREC_HAVE_AVX2_BUILD 0
+#endif
 
 namespace taxorec {
+namespace {
+
+// One output row of a RowPass, as raw pointers.
+struct RowArgs {
+  const uint32_t* cols;
+  const double* w;
+  size_t nnz;
+  const double* dense;  // row c of the dense operand starts at dense + c * d
+  size_t d;
+  double alpha;
+  double scale;
+  RowPass::Sum sum;
+  const double* self;
+  double* next;  // null: not stored
+  const double* add;
+  double* out;
+};
+
+// ---------------------------------------------------------------------------
+// Portable backend (sanitizer builds, non-x86, CPUs without AVX2): columns
+// in blocks of N held in a local array across the row's nonzeros.
+// ---------------------------------------------------------------------------
+
+template <size_t N>
+inline void PortableBlock(const RowArgs& a, size_t i) {
+  double h[N];
+#pragma GCC unroll 8
+  for (size_t j = 0; j < N; ++j) h[j] = a.self[i + j];
+  for (size_t k = 0; k < a.nnz; ++k) {
+    const double s = a.alpha * a.w[k];
+    const double* x = a.dense + a.cols[k] * a.d + i;
+#pragma GCC unroll 8
+    for (size_t j = 0; j < N; ++j) h[j] += s * x[j];
+  }
+#pragma GCC unroll 8
+  for (size_t j = 0; j < N; ++j) {
+    h[j] *= a.scale;
+    if (a.next != nullptr) a.next[i + j] = h[j];
+    switch (a.sum) {
+      case RowPass::Sum::kStore:
+        break;
+      case RowPass::Sum::kFromZero:
+        h[j] = 0.0 + h[j];
+        break;
+      case RowPass::Sum::kAdd:
+        h[j] += a.add[i + j];
+        break;
+    }
+    a.out[i + j] = h[j];
+  }
+}
+
+void RowPortable(const RowArgs& a) {
+  size_t i = 0;
+  for (; i + 8 <= a.d; i += 8) PortableBlock<8>(a, i);
+  for (; i + 4 <= a.d; i += 4) PortableBlock<4>(a, i);
+  for (; i < a.d; ++i) PortableBlock<1>(a, i);
+}
+
+// ---------------------------------------------------------------------------
+// AVX2 backend: the same per-element steps on 4-double vectors. A block
+// holds V full vectors plus, with kTail, one masked vector for the last
+// 1-3 columns, so rows up to 56 wide (TaxoRec's 53 and 13) take a single
+// block: one pass over the nonzeros, the whole row in registers. Separate
+// vmulpd/vaddpd only — the target deliberately omits "fma", so the
+// compiler cannot contract them and the bits match the portable backend.
+// ---------------------------------------------------------------------------
+
+#if TAXOREC_HAVE_AVX2_BUILD
+
+// The per-element epilogue on the vector of columns [off, off + 4); `mask`
+// selects the lanes of a tail vector.
+template <bool kMasked>
+__attribute__((target("avx2"), always_inline)) inline void Avx2Finish(
+    const RowArgs& a, size_t off, __m256d h, __m256i mask) {
+  h = _mm256_mul_pd(h, _mm256_set1_pd(a.scale));
+  if (a.next != nullptr) {
+    if constexpr (kMasked) {
+      _mm256_maskstore_pd(a.next + off, mask, h);
+    } else {
+      _mm256_storeu_pd(a.next + off, h);
+    }
+  }
+  switch (a.sum) {
+    case RowPass::Sum::kStore:
+      break;
+    case RowPass::Sum::kFromZero:
+      h = _mm256_add_pd(_mm256_setzero_pd(), h);
+      break;
+    case RowPass::Sum::kAdd:
+      h = _mm256_add_pd(h, kMasked ? _mm256_maskload_pd(a.add + off, mask)
+                                   : _mm256_loadu_pd(a.add + off));
+      break;
+  }
+  if constexpr (kMasked) {
+    _mm256_maskstore_pd(a.out + off, mask, h);
+  } else {
+    _mm256_storeu_pd(a.out + off, h);
+  }
+}
+
+// Takes no vector arguments on purpose: gcc then ends the function with
+// vzeroupper, so the SSE code the caller returns to (libm, the maps, RSGD)
+// does not run with a dirty upper register state. A vector argument would
+// suppress the vzeroupper; the dirty state made the rest of a training
+// epoch about 2× slower on an AVX-512 Xeon.
+template <size_t V, bool kTail>
+__attribute__((target("avx2"))) void Avx2Block(const RowArgs& a, size_t i,
+                                               size_t tail) {
+  // Lanes [0, tail) of the tail vector.
+  const __m256i mask =
+      _mm256_cmpgt_epi64(_mm256_set1_epi64x(static_cast<long long>(tail)),
+                         _mm256_setr_epi64x(0, 1, 2, 3));
+  __m256d h[V + kTail];
+#pragma GCC unroll 16
+  for (size_t v = 0; v < V; ++v) h[v] = _mm256_loadu_pd(a.self + i + 4 * v);
+  if constexpr (kTail) h[V] = _mm256_maskload_pd(a.self + i + 4 * V, mask);
+  for (size_t k = 0; k < a.nnz; ++k) {
+    const __m256d s = _mm256_set1_pd(a.alpha * a.w[k]);
+    const double* x = a.dense + a.cols[k] * a.d + i;
+#pragma GCC unroll 16
+    for (size_t v = 0; v < V; ++v) {
+      h[v] = _mm256_add_pd(h[v], _mm256_mul_pd(s, _mm256_loadu_pd(x + 4 * v)));
+    }
+    if constexpr (kTail) {
+      h[V] = _mm256_add_pd(
+          h[V], _mm256_mul_pd(s, _mm256_maskload_pd(x + 4 * V, mask)));
+    }
+  }
+#pragma GCC unroll 16
+  for (size_t v = 0; v < V; ++v) {
+    Avx2Finish<false>(a, i + 4 * v, h[v], mask);
+  }
+  if constexpr (kTail) Avx2Finish<true>(a, i + 4 * V, h[V], mask);
+}
+
+using Avx2BlockFn = void (*)(const RowArgs&, size_t, size_t);
+
+// Blocks by width: kAvx2Blocks[n] covers n = 4·V + tail columns, n ≤ 56
+// (V + kTail ≤ 14 accumulators, leaving two of the 16 ymm registers for
+// the broadcast weight and the product).
+#define TAXOREC_BLOCKS(V) \
+  &Avx2Block<V, false>, &Avx2Block<V, true>, &Avx2Block<V, true>, \
+      &Avx2Block<V, true>
+constexpr Avx2BlockFn kAvx2Blocks[57] = {
+    nullptr,           &Avx2Block<0, true>, &Avx2Block<0, true>,
+    &Avx2Block<0, true>, TAXOREC_BLOCKS(1),  TAXOREC_BLOCKS(2),
+    TAXOREC_BLOCKS(3),   TAXOREC_BLOCKS(4),  TAXOREC_BLOCKS(5),
+    TAXOREC_BLOCKS(6),   TAXOREC_BLOCKS(7),  TAXOREC_BLOCKS(8),
+    TAXOREC_BLOCKS(9),   TAXOREC_BLOCKS(10), TAXOREC_BLOCKS(11),
+    TAXOREC_BLOCKS(12),  TAXOREC_BLOCKS(13), &Avx2Block<14, false>,
+};
+#undef TAXOREC_BLOCKS
+
+__attribute__((target("avx2"))) void RowAvx2(const RowArgs& a) {
+  constexpr size_t kMaxBlock = 56;
+  size_t i = 0;
+  // Wider rows: 48-column blocks until one block covers the rest.
+  for (; a.d - i > kMaxBlock; i += 48) Avx2Block<12, false>(a, i, 0);
+  const size_t n = a.d - i;
+  kAvx2Blocks[n](a, i, n % 4);
+}
+#endif  // TAXOREC_HAVE_AVX2_BUILD
+
+std::atomic<bool> g_force_portable{false};
+
+using RowKernel = void (*)(const RowArgs&);
+
+RowKernel ActiveRowKernel() {
+#if TAXOREC_HAVE_AVX2_BUILD
+  static const bool avx2 = __builtin_cpu_supports("avx2");
+  if (avx2 && !g_force_portable.load(std::memory_order_relaxed)) {
+    return RowAvx2;
+  }
+#endif
+  return RowPortable;
+}
+
+}  // namespace
+
+const char* SpmmBackend() {
+  return ActiveRowKernel() == RowPortable ? "portable" : "avx2";
+}
+
+void ForcePortableSpmmForTest(bool force) {
+  g_force_portable.store(force, std::memory_order_relaxed);
+}
 
 CsrMatrix CsrMatrix::FromPairs(
     size_t rows, size_t cols,
@@ -85,8 +280,24 @@ void CsrMatrix::Multiply(const Matrix& dense, Matrix* out) const {
 
 void CsrMatrix::MultiplyAccum(const Matrix& dense, double alpha,
                               Matrix* out) const {
-  TAXOREC_CHECK(dense.rows() == cols_);
-  TAXOREC_CHECK(out->rows() == rows_ && out->cols() == dense.cols());
+  RowPass pass;
+  pass.dense = &dense;
+  pass.alpha = alpha;
+  pass.out = out;
+  RunPass(pass);
+}
+
+void CsrMatrix::RunPass(const RowPass& p) const {
+  TAXOREC_CHECK(p.dense != nullptr && p.out != nullptr);
+  const size_t d = p.dense->cols();
+  auto shaped = [&](const Matrix* m) {
+    return m->rows() == rows_ && m->cols() == d;
+  };
+  TAXOREC_CHECK(p.dense->rows() == cols_ && shaped(p.out));
+  TAXOREC_CHECK(p.self == nullptr || shaped(p.self));
+  TAXOREC_CHECK(p.next == nullptr || shaped(p.next));
+  TAXOREC_CHECK(p.sum != RowPass::Sum::kAdd ||
+                (p.add != nullptr && shaped(p.add)));
   // Whole-call instruments only: per-row updates would put an atomic RMW in
   // the innermost loop (the <3% armed-overhead budget of
   // bench_micro_kernels is measured against this placement).
@@ -97,17 +308,34 @@ void CsrMatrix::MultiplyAccum(const Matrix& dense, double alpha,
       MetricsRegistry::Instance().GetCounter("taxorec.spmm.rows");
   calls->Increment();
   row_count->Increment(rows_);
-  // Row-parallel SpMM: every output row is owned by exactly one worker, so
-  // the result is bit-identical at any thread count. Small grain + static
+  if (d == 0) return;
+  // The loop body captures two pointers, which std::function stores
+  // without allocating.
+  struct Job {
+    const RowPass* pass;
+    const Matrix* self;
+    RowKernel kernel;
+  } const job{&p, p.self != nullptr ? p.self : p.out, ActiveRowKernel()};
+  // Row-parallel: every output row is owned by exactly one worker, so the
+  // result is bit-identical at any thread count. Small grain + static
   // round-robin chunks balance the power-law row lengths.
-  ParallelFor(0, rows_, /*grain=*/32, [&](size_t r0, size_t r1) {
+  ParallelFor(0, rows_, /*grain=*/32, [this, &job](size_t r0, size_t r1) {
+    const RowPass& p = *job.pass;
+    RowArgs a{};
+    a.dense = p.dense->flat().data();
+    a.d = p.dense->cols();
+    a.alpha = p.alpha;
+    a.scale = p.scale;
+    a.sum = p.sum;
     for (size_t r = r0; r < r1; ++r) {
-      const auto cols = RowCols(r);
-      const auto w = RowWeights(r);
-      auto out_row = out->row(r);
-      for (size_t k = 0; k < cols.size(); ++k) {
-        vec::Axpy(alpha * w[k], dense.row(cols[k]), out_row);
-      }
+      a.cols = col_idx_.data() + row_ptr_[r];
+      a.w = weights_.data() + row_ptr_[r];
+      a.nnz = row_ptr_[r + 1] - row_ptr_[r];
+      a.self = job.self->row(r).data();
+      a.next = p.next != nullptr ? p.next->row(r).data() : nullptr;
+      a.add = p.sum == RowPass::Sum::kAdd ? p.add->row(r).data() : nullptr;
+      a.out = p.out->row(r).data();
+      job.kernel(a);
     }
   });
 }

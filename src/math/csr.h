@@ -14,6 +14,40 @@
 
 namespace taxorec {
 
+/// One fused SpMM pass over the rows of a CsrMatrix (CsrMatrix::RunPass),
+/// the kernel under MultiplyAccum and the bipartite GCN layers
+/// (nn/gcn.cc). For every row r and column i it computes, per element and
+/// in this order,
+///   h  = self(r, i)                      (out(r, i) when self is null)
+///   h += (alpha * w_k) * dense(c_k, i)   for each nonzero k, ascending
+///   h *= scale
+///   next(r, i) = h                       when next is not null
+///   out(r, i)  = h | 0.0 + h | h + add(r, i)       (per `sum`)
+/// holding the row (a block of its columns in the portable backend) in
+/// registers across its nonzeros. Every step is one
+/// IEEE multiply or add (never an FMA), so each backend returns the bits of
+/// the unfused copy → MultiplyAccum → scale → Axpy sequence, at any thread
+/// count. next and out must not alias self or dense; add may be out.
+struct RowPass {
+  enum class Sum { kStore, kFromZero, kAdd };
+  const Matrix* dense = nullptr;
+  const Matrix* self = nullptr;
+  double alpha = 1.0;
+  double scale = 1.0;
+  Matrix* next = nullptr;
+  Sum sum = Sum::kStore;
+  const Matrix* add = nullptr;
+  Matrix* out = nullptr;
+};
+
+/// Row-kernel backend RowPass runs on: "avx2" (binaries built with
+/// TAXOREC_ENABLE_AVX2 on CPUs that have it) or "portable".
+const char* SpmmBackend();
+
+/// Test hook: forces the portable row kernel even where AVX2 runs. Not
+/// thread-safe against in-flight passes.
+void ForcePortableSpmmForTest(bool force);
+
 /// Immutable CSR matrix built from (row, col[, weight]) triplets.
 class CsrMatrix {
  public:
@@ -62,6 +96,10 @@ class CsrMatrix {
 
   /// out += alpha * this * dense.
   void MultiplyAccum(const Matrix& dense, double alpha, Matrix* out) const;
+
+  /// Runs one fused pass (see RowPass). next and out must already have
+  /// rows() rows and dense's width; nothing is resized.
+  void RunPass(const RowPass& pass) const;
 
   /// Returns a copy whose rows are L1-normalized (each nonzero row sums
   /// to 1) — the 1/|N| propagation operator of Eq. 13.

@@ -54,6 +54,14 @@ class Matrix {
     return std::span<const double>(data_);
   }
 
+  /// Makes this a rows × cols matrix: a no-op when the shape already
+  /// matches (contents kept), otherwise a fresh zero matrix. Workspaces
+  /// reused across calls resize through this and allocate only when the
+  /// shape changes.
+  void Resize(size_t rows, size_t cols) {
+    if (rows_ != rows || cols_ != cols) *this = Matrix(rows, cols);
+  }
+
   /// Sets every element to zero.
   void SetZero();
 

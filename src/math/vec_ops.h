@@ -57,6 +57,25 @@ void Hadamard(ConstSpan x, ConstSpan y, Span out);
 /// Clamps the Euclidean norm of x to at most max_norm (rescales in place).
 void ClipNorm(Span x, double max_norm);
 
+/// Per-call scratch row of n doubles (contents uninitialized): an inline
+/// buffer when n <= kInline, the heap beyond, so per-row kernels at the
+/// usual embedding widths never allocate.
+class ScratchRow {
+ public:
+  static constexpr size_t kInline = 128;
+  explicit ScratchRow(size_t n) : n_(n) {
+    if (n > kInline) heap_.resize(n);
+  }
+  ScratchRow(const ScratchRow&) = delete;
+  ScratchRow& operator=(const ScratchRow&) = delete;
+  Span span() { return Span(n_ > kInline ? heap_.data() : inline_, n_); }
+
+ private:
+  size_t n_;
+  double inline_[kInline];
+  std::vector<double> heap_;
+};
+
 }  // namespace taxorec::vec
 
 #endif  // TAXOREC_MATH_VEC_OPS_H_

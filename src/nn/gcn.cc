@@ -23,52 +23,81 @@ void BipartiteGcn::Forward(const Matrix& zu0, const Matrix& zv0,
   TAXOREC_CHECK(zu0.rows() == num_users() && zv0.rows() == num_items());
   TAXOREC_CHECK(zu0.cols() == zv0.cols());
   const size_t d = zu0.cols();
-
-  ctx->zu.assign(static_cast<size_t>(num_layers_) + 1, Matrix());
-  ctx->zv.assign(static_cast<size_t>(num_layers_) + 1, Matrix());
-  ctx->zu[0] = zu0;
-  ctx->zv[0] = zv0;
-
-  *out_u = Matrix(num_users(), d);
-  *out_v = Matrix(num_items(), d);
+  out_u->Resize(num_users(), d);
+  out_v->Resize(num_items(), d);
+  // Layer l reads Z^l (the inputs, then slot (l-1) % 2) and writes Z^{l+1}
+  // to slot l % 2; the last layer only feeds the sums. The first layer
+  // starts each sum at 0.0 + Z^1, the value a zeroed sum plus Axpy gives.
+  const Matrix* zu = &zu0;
+  const Matrix* zv = &zv0;
   for (int l = 0; l < num_layers_; ++l) {
-    Matrix next_u = ctx->zu[l];
-    pui_.MultiplyAccum(ctx->zv[l], 1.0, &next_u);
-    Matrix next_v = ctx->zv[l];
-    piu_.MultiplyAccum(ctx->zu[l], 1.0, &next_v);
-    for (double& x : next_u.flat()) x *= 0.5;
-    for (double& x : next_v.flat()) x *= 0.5;
-    ctx->zu[l + 1] = std::move(next_u);
-    ctx->zv[l + 1] = std::move(next_v);
-    out_u->Axpy(1.0, ctx->zu[l + 1]);
-    out_v->Axpy(1.0, ctx->zv[l + 1]);
+    const bool last = l + 1 == num_layers_;
+    Matrix* next_u = last ? nullptr : &ctx->zu[l % 2];
+    Matrix* next_v = last ? nullptr : &ctx->zv[l % 2];
+    if (!last) {
+      next_u->Resize(num_users(), d);
+      next_v->Resize(num_items(), d);
+    }
+    RowPass pass;
+    pass.scale = 0.5;
+    pass.sum = l == 0 ? RowPass::Sum::kFromZero : RowPass::Sum::kAdd;
+    pass.dense = zv;
+    pass.self = zu;
+    pass.next = next_u;
+    pass.add = out_u;
+    pass.out = out_u;
+    pui_.RunPass(pass);
+    pass.dense = zu;
+    pass.self = zv;
+    pass.next = next_v;
+    pass.add = out_v;
+    pass.out = out_v;
+    piu_.RunPass(pass);
+    zu = next_u;
+    zv = next_v;
+  }
+}
+
+void BipartiteGcn::Backward(const Matrix& up_u, const Matrix& up_v,
+                            GcnContext* work, Matrix* grad_u0,
+                            Matrix* grad_v0) const {
+  TAXOREC_CHECK(up_u.rows() == num_users() && up_v.rows() == num_items());
+  TAXOREC_CHECK(up_u.cols() == up_v.cols());
+  const size_t d = up_u.cols();
+  // Adjoint recursion: a^L = upstream; for l = L-1 .. 0:
+  //   au^l = (au^{l+1} + Piu^T av^{l+1}) / 2 + [l >= 1] * up_u
+  //   av^l = (av^{l+1} + Pui^T au^{l+1}) / 2 + [l >= 1] * up_v
+  // Step s = L-1-l writes slot s % 2, the last step the gradients.
+  const Matrix* au = &up_u;
+  const Matrix* av = &up_v;
+  for (int l = num_layers_ - 1; l >= 0; --l) {
+    const int slot = (num_layers_ - 1 - l) % 2;
+    Matrix* next_u = l == 0 ? grad_u0 : &work->zu[slot];
+    Matrix* next_v = l == 0 ? grad_v0 : &work->zv[slot];
+    next_u->Resize(num_users(), d);
+    next_v->Resize(num_items(), d);
+    RowPass pass;
+    pass.scale = 0.5;
+    pass.sum = l >= 1 ? RowPass::Sum::kAdd : RowPass::Sum::kStore;
+    pass.dense = av;
+    pass.self = au;
+    pass.add = &up_u;
+    pass.out = next_u;
+    piu_t_.RunPass(pass);
+    pass.dense = au;
+    pass.self = av;
+    pass.add = &up_v;
+    pass.out = next_v;
+    pui_t_.RunPass(pass);
+    au = next_u;
+    av = next_v;
   }
 }
 
 void BipartiteGcn::Backward(const Matrix& up_u, const Matrix& up_v,
                             Matrix* grad_u0, Matrix* grad_v0) const {
-  TAXOREC_CHECK(up_u.rows() == num_users() && up_v.rows() == num_items());
-  // Adjoint recursion: a^L = upstream; for l = L-1 .. 0:
-  //   au^l = [l >= 1] * up_u + (au^{l+1} + Piu^T av^{l+1}) / 2
-  //   av^l = [l >= 1] * up_v + (av^{l+1} + Pui^T au^{l+1}) / 2
-  Matrix au = up_u;  // a^{l+1}, starts at l+1 = L
-  Matrix av = up_v;
-  for (int l = num_layers_ - 1; l >= 0; --l) {
-    Matrix au_next = au;
-    piu_t_.MultiplyAccum(av, 1.0, &au_next);
-    Matrix av_next = av;
-    pui_t_.MultiplyAccum(au, 1.0, &av_next);
-    for (double& x : au_next.flat()) x *= 0.5;
-    for (double& x : av_next.flat()) x *= 0.5;
-    if (l >= 1) {
-      au_next.Axpy(1.0, up_u);
-      av_next.Axpy(1.0, up_v);
-    }
-    au = std::move(au_next);
-    av = std::move(av_next);
-  }
-  *grad_u0 = std::move(au);
-  *grad_v0 = std::move(av);
+  GcnContext work;
+  Backward(up_u, up_v, &work, grad_u0, grad_v0);
 }
 
 namespace {
@@ -107,20 +136,20 @@ void LightGcnPropagation::Forward(const Matrix& zu0, const Matrix& zv0,
                                   GcnContext* ctx, Matrix* out_u,
                                   Matrix* out_v) const {
   TAXOREC_CHECK(zu0.rows() == num_users() && zv0.rows() == num_items());
-  ctx->zu.assign(static_cast<size_t>(num_layers_) + 1, Matrix());
-  ctx->zv.assign(static_cast<size_t>(num_layers_) + 1, Matrix());
-  ctx->zu[0] = zu0;
-  ctx->zv[0] = zv0;
   *out_u = zu0;
   *out_v = zv0;
+  // Z^{l+1} goes to slot l % 2, Z^l is the inputs or the other slot.
+  const Matrix* zu = &zu0;
+  const Matrix* zv = &zv0;
   for (int l = 0; l < num_layers_; ++l) {
-    Matrix next_u, next_v;
-    a_.Multiply(ctx->zv[l], &next_u);
-    a_t_.Multiply(ctx->zu[l], &next_v);
-    ctx->zu[l + 1] = std::move(next_u);
-    ctx->zv[l + 1] = std::move(next_v);
-    out_u->Axpy(1.0, ctx->zu[l + 1]);
-    out_v->Axpy(1.0, ctx->zv[l + 1]);
+    Matrix* next_u = &ctx->zu[l % 2];
+    Matrix* next_v = &ctx->zv[l % 2];
+    a_.Multiply(*zv, next_u);
+    a_t_.Multiply(*zu, next_v);
+    out_u->Axpy(1.0, *next_u);
+    out_v->Axpy(1.0, *next_v);
+    zu = next_u;
+    zv = next_v;
   }
   const double inv = 1.0 / static_cast<double>(num_layers_ + 1);
   for (double& x : out_u->flat()) x *= inv;

@@ -15,17 +15,22 @@
 #ifndef TAXOREC_NN_GCN_H_
 #define TAXOREC_NN_GCN_H_
 
-#include <vector>
-
 #include "math/csr.h"
 #include "math/matrix.h"
 
 namespace taxorec::nn {
 
-/// Forward context: layer activations needed only to size the backward.
+/// Propagation workspace: two ping-pong layer buffers per side, resized on
+/// first use and reused by every later call. Forward writes Z^{l+1} into
+/// slot l % 2 while reading Z^l from the other slot (or from the inputs);
+/// the last layer goes straight into the layer sum and is not stored.
+/// Backward reuses the slots for its adjoint recursion. Nothing reads a
+/// layer after the call that wrote it — the backward of a linear operator
+/// needs only the upstream gradients — so the context keeps no per-layer
+/// activations and one context can serve a channel's forward and backward.
 struct GcnContext {
-  std::vector<Matrix> zu;  // zu[l], l = 0..L
-  std::vector<Matrix> zv;  // zv[l], l = 0..L
+  Matrix zu[2];
+  Matrix zv[2];
 };
 
 /// Bipartite LightGCN-style propagation operator.
@@ -37,12 +42,22 @@ class BipartiteGcn {
   int num_layers() const { return num_layers_; }
 
   /// Computes out_u = sum_{l=1..L} Zu^l (and likewise out_v) from inputs
-  /// Zu0 (users × D), Zv0 (items × D). Fills ctx for Backward.
+  /// Zu0 (users × D), Zv0 (items × D), using ctx as layer workspace. One
+  /// fused CsrMatrix::RunPass per layer and side computes
+  /// Z^{l+1} = 0.5·(Z^l + P Z^l_other) and adds it to the layer sum.
+  /// Outputs are resized on demand and must not alias the inputs.
   void Forward(const Matrix& zu0, const Matrix& zv0, GcnContext* ctx,
                Matrix* out_u, Matrix* out_v) const;
 
   /// Computes grad wrt the inputs: grad_u0/grad_v0 are *overwritten* with
-  /// the adjoints of upstream gradients on (out_u, out_v).
+  /// the adjoints of upstream gradients on (out_u, out_v), using `work`'s
+  /// slots as scratch (a channel's forward context can be passed: Backward
+  /// does not read the forward's layers). Outputs are resized on demand
+  /// and must not alias the inputs.
+  void Backward(const Matrix& up_u, const Matrix& up_v, GcnContext* work,
+                Matrix* grad_u0, Matrix* grad_v0) const;
+
+  /// Backward with a call-local workspace.
   void Backward(const Matrix& up_u, const Matrix& up_v, Matrix* grad_u0,
                 Matrix* grad_v0) const;
 
@@ -69,7 +84,7 @@ class LightGcnPropagation {
 
   int num_layers() const { return num_layers_; }
 
-  /// out = mean(Z^0 .. Z^L). ctx holds the per-layer activations.
+  /// out = mean(Z^0 .. Z^L), using ctx as layer workspace.
   void Forward(const Matrix& zu0, const Matrix& zv0, GcnContext* ctx,
                Matrix* out_u, Matrix* out_v) const;
 

@@ -29,7 +29,7 @@ void PoincareRsgdUpdate(Matrix* params, const Matrix& grads, double lr,
     if (IsZeroRow(grow)) continue;
     vec::Copy(grow, vec::Span(g));
     if (grad_clip > 0.0) vec::ClipNorm(vec::Span(g), grad_clip);
-    poincare::RsgdStep(params->row(r), vec::ConstSpan(g), lr);
+    poincare::RsgdStepInPlace(params->row(r), vec::Span(g), lr);
     // Guard entry point: keep the stepped row strictly inside the ball even
     // if a future RsgdStep variant skips its internal projection. A no-op
     // (bit-identical) for rows RsgdStep already projected.
@@ -47,7 +47,7 @@ void LorentzRsgdUpdate(Matrix* params, const Matrix& grads, double lr,
     if (IsZeroRow(grow)) continue;
     vec::Copy(grow, vec::Span(g));
     if (grad_clip > 0.0) vec::ClipNorm(vec::Span(g), grad_clip);
-    lorentz::RsgdStep(params->row(r), vec::ConstSpan(g), lr);
+    lorentz::RsgdStepInPlace(params->row(r), vec::Span(g), lr);
     // Guard entry point: recompute the time coordinate so the row sits
     // exactly on the hyperboloid. Bit-identical for rows RsgdStep already
     // projected (same formula over the same spatial values).

@@ -9,6 +9,9 @@
 
 namespace taxorec::optim {
 
+// Both updates own one scratch row per call (the clipped gradient, then the
+// tangent step of RsgdStepInPlace) and allocate nothing per row.
+
 /// Row-wise Poincaré RSGD: each row of params is a ball point, each row of
 /// grads its accumulated *Euclidean* gradient. Rows with zero gradient are
 /// skipped. Clips each Euclidean gradient row to `grad_clip` first

@@ -1,10 +1,17 @@
-// Tests for the bipartite GCN propagation: forward semantics of Eq. 13–14
-// and the adjoint backward (checked against finite differences — valid
-// because the operator is linear, so the check is exact up to rounding).
+// Tests for the bipartite GCN propagation: forward semantics of Eq. 13–14,
+// the adjoint backward (checked against finite differences — valid
+// because the operator is linear, so the check is exact up to rounding),
+// and bit-identity of the fused row kernel with the unfused scalar
+// sequence it replaces.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <string>
+#include <utility>
+#include <vector>
 
+#include "common/parallel.h"
 #include "math/csr.h"
 #include "math/matrix.h"
 #include "math/rng.h"
@@ -153,6 +160,220 @@ TEST(GcnTest, DeeperPropagationSpreadsInformation) {
     gcn2.Forward(zu, zv, &ctx, &ou, &ov);
     EXPECT_GT(ou.at(0, 0), 0.0);  // 2 layers: signal arrived.
   }
+}
+
+// ---------------------------------------------------------------------------
+// Bit-identity of the fused row pass (CsrMatrix::RunPass) with the unfused
+// copy → MultiplyAccum → halve → Axpy sequence, written out as scalar
+// loops over the CSR rows.
+// ---------------------------------------------------------------------------
+
+// out += alpha * a * dense, one scalar y += s * x per nonzero and column.
+void RefMultiplyAccum(const CsrMatrix& a, const Matrix& dense, double alpha,
+                      Matrix* out) {
+  for (size_t r = 0; r < a.rows(); ++r) {
+    const auto cols = a.RowCols(r);
+    const auto w = a.RowWeights(r);
+    for (size_t k = 0; k < cols.size(); ++k) {
+      const double s = alpha * w[k];
+      for (size_t i = 0; i < dense.cols(); ++i) {
+        out->at(r, i) += s * dense.at(cols[k], i);
+      }
+    }
+  }
+}
+
+void RefHalve(Matrix* m) {
+  for (double& x : m->flat()) x *= 0.5;
+}
+
+void RefAxpy(const Matrix& x, Matrix* y) {
+  for (size_t i = 0; i < x.flat().size(); ++i) y->flat()[i] += 1.0 * x.flat()[i];
+}
+
+// The BipartiteGcn operators, built as its constructor builds them.
+struct RefOperators {
+  explicit RefOperators(const CsrMatrix& x)
+      : pui(x.RowNormalized()),
+        piu(x.Transposed().RowNormalized()),
+        pui_t(pui.Transposed()),
+        piu_t(piu.Transposed()) {}
+  CsrMatrix pui, piu, pui_t, piu_t;
+};
+
+void RefForward(const RefOperators& op, int layers, const Matrix& zu0,
+                const Matrix& zv0, Matrix* out_u, Matrix* out_v) {
+  *out_u = Matrix(zu0.rows(), zu0.cols());
+  *out_v = Matrix(zv0.rows(), zv0.cols());
+  Matrix zu = zu0, zv = zv0;
+  for (int l = 0; l < layers; ++l) {
+    Matrix next_u = zu;
+    RefMultiplyAccum(op.pui, zv, 1.0, &next_u);
+    Matrix next_v = zv;
+    RefMultiplyAccum(op.piu, zu, 1.0, &next_v);
+    RefHalve(&next_u);
+    RefHalve(&next_v);
+    RefAxpy(next_u, out_u);
+    RefAxpy(next_v, out_v);
+    zu = std::move(next_u);
+    zv = std::move(next_v);
+  }
+}
+
+void RefBackward(const RefOperators& op, int layers, const Matrix& up_u,
+                 const Matrix& up_v, Matrix* grad_u, Matrix* grad_v) {
+  Matrix au = up_u, av = up_v;
+  for (int l = layers - 1; l >= 0; --l) {
+    Matrix next_u = au;
+    RefMultiplyAccum(op.piu_t, av, 1.0, &next_u);
+    Matrix next_v = av;
+    RefMultiplyAccum(op.pui_t, au, 1.0, &next_v);
+    RefHalve(&next_u);
+    RefHalve(&next_v);
+    if (l >= 1) {
+      RefAxpy(up_u, &next_u);
+      RefAxpy(up_v, &next_v);
+    }
+    au = std::move(next_u);
+    av = std::move(next_v);
+  }
+  *grad_u = std::move(au);
+  *grad_v = std::move(av);
+}
+
+bool SameBits(const Matrix& a, const Matrix& b) {
+  return a.rows() == b.rows() && a.cols() == b.cols() &&
+         std::memcmp(a.flat().data(), b.flat().data(),
+                     a.flat().size() * sizeof(double)) == 0;
+}
+
+// Entries spread over many binades, so any reordered sum changes bits,
+// with exact zeros of both signs mixed in.
+Matrix WideRandom(size_t rows, size_t cols, Rng* rng) {
+  Matrix m(rows, cols);
+  for (double& x : m.flat()) {
+    const uint64_t kind = rng->Uniform(16);
+    if (kind == 0) {
+      x = 0.0;
+    } else if (kind == 1) {
+      x = -0.0;
+    } else {
+      x = rng->NextGaussian() * std::ldexp(1.0, static_cast<int>(
+                                                    rng->Uniform(41)) - 20);
+    }
+  }
+  return m;
+}
+
+// A random user × item graph with isolated users and items and some heavy
+// rows; the last user and the last item stay isolated.
+CsrMatrix RandomGraph(size_t users, size_t items, Rng* rng) {
+  std::vector<std::pair<uint32_t, uint32_t>> edges;
+  for (uint32_t u = 0; u + 1 < users; ++u) {
+    if (rng->Uniform(5) == 0) continue;
+    const uint64_t deg = u % 7 == 0 ? 40 : 1 + rng->Uniform(6);
+    for (uint64_t e = 0; e < deg; ++e) {
+      edges.emplace_back(u, static_cast<uint32_t>(rng->Uniform(items - 1)));
+    }
+  }
+  return CsrMatrix::FromPairs(users, items, std::move(edges));
+}
+
+// Runs `body` at 1 and 4 threads, on every row-kernel backend the build
+// can select, and labels failures with the configuration.
+template <class Body>
+void ForEachConfig(Body body) {
+  const int saved_threads = GetNumThreads();
+  std::vector<bool> force_portable = {true};
+  if (std::string(SpmmBackend()) != "portable") force_portable.push_back(false);
+  for (const bool portable : force_portable) {
+    ForcePortableSpmmForTest(portable);
+    for (const int threads : {1, 4}) {
+      SetNumThreads(threads);
+      body(std::string(SpmmBackend()) + " backend, " +
+           std::to_string(threads) + " threads");
+    }
+  }
+  ForcePortableSpmmForTest(false);
+  SetNumThreads(saved_threads);
+}
+
+// TaxoRec's widths (53, 13), every AVX2 tail length, and rows wider than
+// one 56-column register block (65, 113).
+const size_t kWidths[] = {1, 3, 4, 5, 8, 13, 53, 65, 113};
+
+TEST(FusedRowPassTest, MultiplyAccumMatchesScalarReference) {
+  Rng rng(41);
+  const CsrMatrix a = RandomGraph(150, 90, &rng);
+  ForEachConfig([&](const std::string& config) {
+    for (const size_t d : kWidths) {
+      for (const double alpha : {1.0, 0.37, -2.5}) {
+        const Matrix dense = WideRandom(a.cols(), d, &rng);
+        const Matrix init = WideRandom(a.rows(), d, &rng);
+        Matrix want = init, got = init;
+        RefMultiplyAccum(a, dense, alpha, &want);
+        a.MultiplyAccum(dense, alpha, &got);
+        EXPECT_TRUE(SameBits(want, got))
+            << config << ", d=" << d << ", alpha=" << alpha;
+      }
+    }
+  });
+}
+
+TEST(FusedRowPassTest, GcnForwardBackwardMatchScalarReference) {
+  Rng rng(43);
+  const CsrMatrix x = RandomGraph(120, 170, &rng);
+  const RefOperators op(x);
+  ForEachConfig([&](const std::string& config) {
+    for (const int layers : {1, 3}) {
+      const nn::BipartiteGcn gcn(x, layers);
+      // One context and one set of outputs for every width: each call
+      // lands in buffers last shaped by another width.
+      nn::GcnContext ctx;
+      Matrix ou, ov, gu, gv;
+      for (const size_t d : kWidths) {
+        const Matrix zu = WideRandom(x.rows(), d, &rng);
+        const Matrix zv = WideRandom(x.cols(), d, &rng);
+        Matrix want_u, want_v;
+        RefForward(op, layers, zu, zv, &want_u, &want_v);
+        gcn.Forward(zu, zv, &ctx, &ou, &ov);
+        EXPECT_TRUE(SameBits(want_u, ou) && SameBits(want_v, ov))
+            << "forward, " << config << ", L=" << layers << ", d=" << d;
+
+        const Matrix up_u = WideRandom(x.rows(), d, &rng);
+        const Matrix up_v = WideRandom(x.cols(), d, &rng);
+        RefBackward(op, layers, up_u, up_v, &want_u, &want_v);
+        gcn.Backward(up_u, up_v, &ctx, &gu, &gv);
+        EXPECT_TRUE(SameBits(want_u, gu) && SameBits(want_v, gv))
+            << "backward, " << config << ", L=" << layers << ", d=" << d;
+        Matrix local_u, local_v;
+        gcn.Backward(up_u, up_v, &local_u, &local_v);
+        EXPECT_TRUE(SameBits(want_u, local_u) && SameBits(want_v, local_v))
+            << "backward (local workspace), " << config << ", L=" << layers
+            << ", d=" << d;
+      }
+    }
+  });
+}
+
+TEST(FusedRowPassTest, LayerSumStartsFromPositiveZero) {
+  // An isolated node holding -0.0 keeps -0.0 through every layer, but its
+  // layer sum is 0.0 + (-0.0) = +0.0 — the value a zeroed sum plus Axpy
+  // gives. Storing the first layer directly would keep the sign bit.
+  const CsrMatrix x = CsrMatrix::FromPairs(2, 2, {{0, 0}});
+  const nn::BipartiteGcn gcn(x, 2);
+  Matrix zu(2, 5), zv(2, 5);
+  for (double& v : zu.row(1)) v = -0.0;
+  for (double& v : zv.row(1)) v = -0.0;
+  ForEachConfig([&](const std::string& config) {
+    nn::GcnContext ctx;
+    Matrix ou, ov;
+    gcn.Forward(zu, zv, &ctx, &ou, &ov);
+    for (size_t i = 0; i < 5; ++i) {
+      EXPECT_FALSE(std::signbit(ou.at(1, i))) << config << ", col " << i;
+      EXPECT_FALSE(std::signbit(ov.at(1, i))) << config << ", col " << i;
+    }
+  });
 }
 
 TEST(MlpTest, GradCheckThroughReluTower) {

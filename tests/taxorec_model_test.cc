@@ -4,7 +4,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <cstring>
 
+#include "common/heap_stats.h"
+#include "common/parallel.h"
 #include "core/taxorec_model.h"
 #include "core/trainer.h"
 #include "data/split.h"
@@ -91,6 +95,100 @@ TEST(TaxoRecModelTest, AlphaInUnitInterval) {
     EXPECT_GE(model.alpha(u), 0.0);
     EXPECT_LE(model.alpha(u), 1.0);
   }
+}
+
+uint64_t TotalAllocCount() {
+  for (const auto& s : HeapStatsSnapshot()) {
+    if (s.name == "total") return s.alloc_count;
+  }
+  return 0;
+}
+
+TEST(TaxoRecModelTest, SteadyStateEpochAllocationsDoNotScaleWithGraph) {
+  if (!HeapStatsEnabled()) {
+    GTEST_SKIP() << "heap accounting is compiled out in sanitizer builds";
+  }
+  // Every per-batch matrix lives in a workspace reused across batches and
+  // RSGD steps rows through one scratch row per call, so after a warm epoch
+  // a non-rebuild epoch allocates a small constant per batch: the
+  // optimizers' scratch rows, the tag-aggregation and regularizer buffers
+  // and the sample fan-out's task. Measured 10 per batch at both sizes
+  // below; with per-batch temporaries and per-row RSGD vectors it was 553
+  // and 1,795 here, and ~16,000 on a 2,400 × 3,600 graph.
+  constexpr double kMaxAllocsPerBatch = 32.0;
+  const int saved_threads = GetNumThreads();
+  SetNumThreads(1);
+  for (const size_t scale : {1, 4}) {
+    SyntheticConfig data;
+    data.seed = 11;
+    data.num_users = 60 * scale;
+    data.num_items = 90 * scale;
+    data.num_tags = 15;
+    data.num_roots = 3;
+    const DataSplit split = TemporalSplit(GenerateSynthetic(data));
+    ModelConfig cfg = TinyConfig();
+    cfg.gcn_layers = 3;
+    cfg.taxo_rebuild_every = 100;  // no rebuild in epochs 0 and 1
+    TaxoRecModel model(cfg, TaxoRecOptions{});
+    Rng rng(8);
+    model.BeginFit(split, &rng);
+    model.FitEpoch(split, 0, &rng);
+    const uint64_t before = TotalAllocCount();
+    model.FitEpoch(split, 1, &rng);
+    const double per_batch =
+        static_cast<double>(TotalAllocCount() - before) /
+        static_cast<double>(cfg.batches_per_epoch);
+    EXPECT_LT(per_batch, kMaxAllocsPerBatch)
+        << "users=" << split.num_users << " items=" << split.num_items;
+  }
+  SetNumThreads(saved_threads);
+}
+
+// FNV-1a over each leaf matrix's name, shape and bytes, in checkpoint order.
+uint64_t LeafDigest(const Checkpoint& ckpt) {
+  uint64_t h = 1469598103934665603ULL;
+  auto mix = [&](const void* data, size_t n) {
+    const auto* p = static_cast<const unsigned char*>(data);
+    for (size_t i = 0; i < n; ++i) {
+      h ^= p[i];
+      h *= 1099511628211ULL;
+    }
+  };
+  for (const char* name : {"users_ir", "items_ir", "users_tg", "tags"}) {
+    const Matrix* m = ckpt.Get(name);
+    if (m == nullptr) return 0;
+    const uint64_t shape[2] = {m->rows(), m->cols()};
+    mix(name, std::strlen(name));
+    mix(shape, sizeof(shape));
+    mix(m->flat().data(), m->flat().size() * sizeof(double));
+  }
+  return h;
+}
+
+TEST(TaxoRecModelTest, TwoEpochCheckpointMatchesGoldenDigest) {
+  // Pins the trained leaves bit for bit, so a kernel change (SpMM, GCN,
+  // maps, RSGD) cannot silently change training. Recorded with the unfused
+  // GCN and per-row-allocating RSGD that the fused kernels replaced; the
+  // digest depends on the platform's libm (acosh, cosh, tanh, ...), so a
+  // different C library may need it re-recorded from the same code.
+  constexpr uint64_t kGolden = 0xab740b9f48c8e904ULL;
+  const DataSplit split = SmallSplit();
+  ModelConfig cfg = TinyConfig();
+  cfg.gcn_layers = 3;
+  cfg.taxo_rebuild_every = 1;
+  const int saved_threads = GetNumThreads();
+  for (const int threads : {1, 4}) {
+    SetNumThreads(threads);
+    TaxoRecModel model(cfg, TaxoRecOptions{});
+    Rng rng(12);
+    model.BeginFit(split, &rng);
+    model.FitEpoch(split, 0, &rng);
+    model.FitEpoch(split, 1, &rng);
+    EXPECT_EQ(LeafDigest(model.SaveCheckpoint()), kGolden)
+        << "threads=" << threads << " digest=0x" << std::hex
+        << LeafDigest(model.SaveCheckpoint());
+  }
+  SetNumThreads(saved_threads);
 }
 
 TEST(TaxoRecModelTest, TaxonomyAvailableAfterFit) {
