@@ -126,7 +126,9 @@ double GetPoolImbalanceWarnThreshold() {
   return g_imbalance_warn_threshold.load(std::memory_order_relaxed);
 }
 
-ThreadPool::ThreadPool(int num_threads) : num_threads_(num_threads) {
+ThreadPool::ThreadPool(int num_threads)
+    : num_threads_(num_threads),
+      claimed_(static_cast<size_t>(num_threads), 0) {
   TAXOREC_CHECK(num_threads >= 1);
   threads_.reserve(static_cast<size_t>(num_threads - 1));
   for (int w = 1; w < num_threads; ++w) {
@@ -156,12 +158,14 @@ void ThreadPool::WorkerLoop(int worker) {
     work_cv_.wait(lock, [&] { return stop_ || generation_ != seen; });
     if (stop_) return;
     seen = generation_;
-    if (worker < job_workers_) {
+    if (worker < job_workers_ && !claimed_[static_cast<size_t>(worker)]) {
+      claimed_[static_cast<size_t>(worker)] = 1;
+      ++running_;
       const std::function<void(int)>* job = job_;
       lock.unlock();
       (*job)(worker);
       lock.lock();
-      if (--outstanding_ == 0) done_cv_.notify_one();
+      if (--running_ == 0) done_cv_.notify_one();
     }
   }
 }
@@ -176,13 +180,23 @@ void ThreadPool::Run(int num_workers, const std::function<void(int)>& fn) {
     std::lock_guard<std::mutex> lock(mu_);
     job_ = &fn;
     job_workers_ = num_workers;
-    outstanding_ = num_workers - 1;
+    std::fill(claimed_.begin(), claimed_.begin() + num_workers, 0);
     ++generation_;
   }
   work_cv_.notify_all();
   fn(0);  // the caller is worker 0
+  // Slots whose threads have not woken yet run here rather than being
+  // waited for. Once every slot is claimed no thread can start on this job,
+  // so after running_ drains nothing references fn.
   std::unique_lock<std::mutex> lock(mu_);
-  done_cv_.wait(lock, [&] { return outstanding_ == 0; });
+  for (int w = 1; w < num_workers; ++w) {
+    if (claimed_[static_cast<size_t>(w)]) continue;
+    claimed_[static_cast<size_t>(w)] = 1;
+    lock.unlock();
+    fn(w);
+    lock.lock();
+  }
+  done_cv_.wait(lock, [&] { return running_ == 0; });
   job_ = nullptr;
 }
 

@@ -65,9 +65,13 @@ class ThreadPool {
 
   int num_threads() const { return num_threads_; }
 
-  /// Runs fn(w) for w in [0, num_workers) — worker 0 on the caller, the
-  /// rest on pool threads — and blocks until all return. Requires
-  /// num_workers <= num_threads().
+  /// Runs fn(w) once for each w in [0, num_workers) and blocks until all
+  /// return. Requires num_workers <= num_threads(). Worker 0 runs on the
+  /// caller and slot w on pool thread w — unless that thread has not picked
+  /// the slot up by the time the caller is done with its own: the caller
+  /// then runs fn(w) itself, so a descheduled or slow-to-wake thread cannot
+  /// stall the region. Either way fn sees the same w, so what a slot does
+  /// is independent of which thread runs it.
   void Run(int num_workers, const std::function<void(int)>& fn);
 
  private:
@@ -80,7 +84,8 @@ class ThreadPool {
   std::condition_variable done_cv_;
   const std::function<void(int)>* job_ = nullptr;  // guarded by mu_
   int job_workers_ = 0;
-  int outstanding_ = 0;
+  std::vector<char> claimed_;  // per slot: taken by its thread or the caller
+  int running_ = 0;            // slots taken by pool threads, not yet done
   uint64_t generation_ = 0;
   bool stop_ = false;
 };

@@ -9,6 +9,7 @@
 #include <chrono>
 #include <cstdint>
 #include <numeric>
+#include <thread>
 #include <vector>
 
 #include "common/metrics.h"
@@ -99,6 +100,33 @@ TEST(ParallelForTest, NestedCallsRunInline) {
     }
   });
   for (size_t j = 0; j < 64; ++j) EXPECT_EQ(hits[j].load(), 1);
+}
+
+TEST(ThreadPoolTest, CallerRunsSlotsItsThreadsHaveNotPickedUp) {
+  // With an empty body the caller is done with slot 0 long before a parked
+  // thread wakes, so it takes over the others; every slot must still run
+  // exactly once per region, slot 0 always on the caller.
+  constexpr int kWorkers = 4;
+  ThreadPool pool(kWorkers);
+  const std::thread::id caller = std::this_thread::get_id();
+  int on_caller = 0;
+  for (int region = 0; region < 10000 && on_caller == 0; ++region) {
+    std::vector<std::atomic<int>> runs(kWorkers);
+    std::vector<std::thread::id> ran_on(kWorkers);
+    pool.Run(kWorkers, [&](int w) {
+      runs[static_cast<size_t>(w)].fetch_add(1);
+      ran_on[static_cast<size_t>(w)] = std::this_thread::get_id();
+    });
+    for (int w = 0; w < kWorkers; ++w) {
+      ASSERT_EQ(runs[static_cast<size_t>(w)].load(), 1)
+          << "region " << region << " slot " << w;
+    }
+    ASSERT_EQ(ran_on[0], caller);
+    for (int w = 1; w < kWorkers; ++w) {
+      if (ran_on[static_cast<size_t>(w)] == caller) ++on_caller;
+    }
+  }
+  EXPECT_GT(on_caller, 0);
 }
 
 TEST(ThreadLocalAccumulatorTest, OrderedReductionSumsAllChunks) {
